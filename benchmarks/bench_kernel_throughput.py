@@ -1,4 +1,4 @@
-"""K1 — Simulation-kernel event throughput at mesh scale.
+"""K1 — Simulation-kernel throughput and exact work per flit hop.
 
 Not a paper experiment: this guards the *simulator's* hot path, the
 substrate every router/link/traffic model spins on.  It drives the
@@ -8,45 +8,40 @@ mixed workload the large-mesh integration tests use — through the
 :class:`~repro.scenarios.runner.ScenarioRunner` and reports the
 run-phase (construction excluded) rates:
 
-* kernel events/sec — logical events dispatched per wall-clock second
-  (``Simulator.events_processed``: scheduler entries, synchronous
-  deliveries, and condensed batched hops all counted);
+* kernel events/sec — informational only: ``Simulator.events_processed``
+  counts kernel traffic (heap entries, synchronous deliveries, inline
+  resumes), which a faster model legitimately removes;
 * flit-hops/sec — physical link traversals per second, a
-  kernel-version-independent measure of simulated work, so regressions
-  are comparable even when a kernel change alters the event count for
-  the same workload.
+  kernel-version-independent measure of simulated work.
 
-Since kernel speed round 2 this module is also the *gate* on the
-calendar-queue scheduler (``sim/kernel.py``) and link-segment hop
-batching (``backends/graphnet.py``):
+Wall-clock rates swing with the host, so the gate is an exact work
+counter instead: ``test_calls_per_hop_ceiling`` profiles the run phase
+of ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` with cProfile
+and asserts the Python calls per flit hop stay within
+``CEILING_SLACK`` of the values in ``CALLS_PER_HOP`` (the count is
+identical from run to run).  An extra call per hop anywhere on the path
+turns it red; a real speedup lowers the count, after which the constants
+are re-recorded from the new code.
 
-* ``test_kernel_throughput`` asserts the 8x8 mixed GS+BE cell clears
-  ``SPEEDUP_FLOOR`` x the events/sec recorded in the committed PR 7
-  baseline (``benchmarks/baselines/``).  Part of that multiple is the
-  round-2 accounting change (synchronous deliveries now count, ~1.7x
-  on this cell) and part is real wall-clock speedup — the floor gates
-  the product, so either regressing shows up red.
-* ``test_heap_vs_calendar`` runs the same cell under both schedulers
-  and asserts byte-identical fingerprints and event counts — the A/B
-  that keeps the calendar queue honest — and records both rates.
-* ``test_hop_batching_ab`` replays a fabric cell (mango is excluded
-  from batching) with hop batching on and off and asserts the
-  fingerprint, hop total and verdicts are identical: batching must be
-  exact condensation, never approximation.
+``test_hop_batching_ab`` replays a fabric cell (mango is excluded from
+batching) with hop batching on and off and asserts the fingerprint, hop
+total and verdicts are identical: batching must be exact condensation,
+never approximation.
 
-The absolute events/sec numbers are machine-dependent; the flit-hop
-counts are not (asserted below, stable since the scenarios were
-hand-rolled here — the runner reproduces the original construction
-order exactly).
+The absolute rates are machine-dependent; the flit-hop counts are not
+(asserted below, stable since the scenarios were hand-rolled here — the
+runner reproduces the original construction order exactly).
 """
 
 import contextlib
-import json
+import cProfile
 import os
+import pstats
 
 from repro.analysis.report import Table
+from repro.scenarios import ScenarioRunner, get
 
-from .common import BASELINES_DIR, record, run_once, run_scenario
+from .common import record, run_once, run_scenario
 
 #: (registry scenario, expected full-duration flit hops).  The totals
 #: predate the scenario engine: any drift means the workload itself
@@ -54,15 +49,15 @@ from .common import BASELINES_DIR, record, run_once, run_scenario
 SCENARIOS = (("corner-streams-6x6", 18_484),
              ("corner-streams-8x8", 29_396))
 
-#: The committed PR 7 trajectory point the round-2 speedup is measured
-#: against — pinned by name so refreshing the *latest* baseline never
-#: silently moves this reference.
-PR7_BASELINE = "BENCH_2026-08-07_f8e5ec0e.json"
+#: Run-phase Python calls per flit hop at full duration, recorded from
+#: the callback-driven router stages, with the cell's flit hops.
+CALLS_PER_HOP = {
+    "corner-streams-8x8": (80.61, 29_396),
+    "gs-under-saturation-8x8": (75.37, 56_565),
+}
 
-#: Asserted events/sec multiple over the PR 7 baseline on the mixed
-#: GS+BE 8x8 cell (see the module docstring for what the multiple is
-#: made of).
-SPEEDUP_FLOOR = 3.0
+#: Red above this multiple of the recorded calls per hop.
+CEILING_SLACK = 1.02
 
 #: Fabric cell for the batching A/B — ring backend, where uncontended
 #: link segments actually condense (mango keeps per-hop events).
@@ -71,8 +66,8 @@ BATCHING_CELL = "ring-cbr-8x8"
 
 @contextlib.contextmanager
 def _env(name, value):
-    """Temporarily pin one environment variable (``Simulator`` and
-    ``FairShareNetwork`` read their knobs at construction time)."""
+    """Temporarily pin one environment variable (``FairShareNetwork``
+    reads its knobs at construction time)."""
     old = os.environ.get(name)
     os.environ[name] = value
     try:
@@ -82,14 +77,6 @@ def _env(name, value):
             del os.environ[name]
         else:
             os.environ[name] = old
-
-
-def pr7_events_per_s(cell: str) -> float:
-    """events/sec the committed PR 7 baseline recorded for ``cell``."""
-    path = os.path.join(BASELINES_DIR, PR7_BASELINE)
-    with open(path) as handle:
-        payload = json.load(handle)
-    return payload["cells"][cell]["events_per_s"]
 
 
 def run_experiment():
@@ -124,43 +111,44 @@ def test_kernel_throughput(benchmark):
         # changed).
         assert result.flit_hops == expected, name
 
-    # The round-2 speed gate: the 8x8 cell must clear SPEEDUP_FLOOR x
-    # the committed PR 7 rate (smoke-recorded, so the baseline rate is
-    # if anything flattered by its shorter run).
-    floor = SPEEDUP_FLOOR * pr7_events_per_s("corner-streams-8x8")
-    rate = results[-1].events / results[-1].wall_s
-    assert rate >= floor, (
-        f"corner-streams-8x8: {rate:.0f} events/s < {floor:.0f} "
-        f"({SPEEDUP_FLOOR}x the committed PR 7 baseline)")
+
+def profiled_calls_per_hop(name: str):
+    """Run-phase calls per flit hop of one full-duration cell, after an
+    unprofiled warm-up run (lazy imports and caches are then hot)."""
+    ScenarioRunner(get(name)).run()
+    runner = ScenarioRunner(get(name))
+    runner.build()
+    profile = cProfile.Profile()
+    profile.enable()
+    result = runner.run()
+    profile.disable()
+    return pstats.Stats(profile).total_calls / result.flit_hops, result
 
 
-def run_scheduler_ab():
-    table = Table(["scheduler", "kernel events", "wall s", "events/s",
-                   "fingerprint"],
-                  title="Heap vs calendar queue, corner-streams-8x8 "
-                        "(identical simulated work asserted)")
-    results = {}
-    for scheduler in ("heap", "calendar"):
-        with _env("REPRO_SCHEDULER", scheduler):
-            result = run_scenario("corner-streams-8x8")
-        results[scheduler] = result
-        table.add_row(scheduler, result.events, round(result.wall_s, 3),
-                      round(result.events / result.wall_s),
-                      result.fingerprint)
-    return results, table
+def run_ceiling():
+    table = Table(["scenario", "flit hops", "calls/hop", "recorded",
+                   "ceiling"],
+                  title="Run-phase Python calls per flit hop (cProfile)")
+    measured = {}
+    for name, (recorded, _hops) in CALLS_PER_HOP.items():
+        per_hop, result = profiled_calls_per_hop(name)
+        measured[name] = (per_hop, result)
+        table.add_row(name, result.flit_hops, round(per_hop, 2), recorded,
+                      round(recorded * CEILING_SLACK, 2))
+    return measured, table
 
 
-def test_heap_vs_calendar(benchmark):
-    results, table = run_once(benchmark, run_scheduler_ab)
-    record("K1b", "heap vs calendar-queue scheduler A/B", table.render())
+def test_calls_per_hop_ceiling(benchmark):
+    measured, table = run_once(benchmark, run_ceiling)
+    record("K1b", "run-phase calls per flit hop", table.render())
 
-    heap, calendar = results["heap"], results["calendar"]
-    # Same total order, same simulation — byte-identical everything
-    # except wall time.
-    assert heap.fingerprint == calendar.fingerprint
-    assert heap.events == calendar.events
-    assert heap.flit_hops == calendar.flit_hops
-    assert heap.passed and calendar.passed
+    for name, (per_hop, result) in measured.items():
+        recorded, hops = CALLS_PER_HOP[name]
+        assert result.passed, f"{name}: {result.failures()}"
+        assert result.flit_hops == hops, name
+        assert per_hop <= recorded * CEILING_SLACK, (
+            f"{name}: {per_hop:.2f} calls per flit hop exceeds "
+            f"{CEILING_SLACK}x the recorded {recorded}")
 
 
 def run_batching_ab():

@@ -109,7 +109,17 @@ class Unsharebox:
             event.add_callback(self._departed)
         return event
 
-    def _departed(self, _event: Event) -> None:
+    def leave(self) -> Any:
+        """Remove the latched flit now (the departure fires the unlock)
+        and return it; the caller must have seen the latch occupied."""
+        flit = self.latch.try_get()
+        if flit is None:
+            raise ShareProtocolError(f"{self.name}: leave from an empty "
+                                     "unsharebox")
+        self._departed(None)
+        return flit
+
+    def _departed(self, _event: Optional[Event]) -> None:
         self.departed += 1
         for callback in self._on_unlock:
             callback()

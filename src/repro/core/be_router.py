@@ -20,12 +20,12 @@ steering bits stripped, 34 bits remaining).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..network.packet import BeFlit
 from ..network.routing import header_direction, rotate_header
 from ..network.topology import Direction, NETWORK_DIRECTIONS
-from ..sim.kernel import Simulator
+from ..sim.kernel import Event, Simulator
 from ..sim.resources import Resource, Store
 
 __all__ = ["BeRouter"]
@@ -50,12 +50,6 @@ class BeRouter:
                                    name=f"{name}.in.{direction.name}.{vc}")
             for direction in _INPUT_KEYS for vc in range(vcs)
         }
-        # Per-direction VC list view of the same stores: accept() runs per
-        # flit per hop, and a list index beats a tuple-keyed dict lookup.
-        self._inputs_by_dir: Dict[Direction, List[Store]] = {
-            direction: [self.inputs[(direction, vc)] for vc in range(vcs)]
-            for direction in _INPUT_KEYS
-        }
         # Output locks give wormhole packet coherency; FIFO grant order is
         # the fair arbitration of the paper (no input starves).
         self.output_locks: Dict[Tuple[Direction, int], Resource] = {
@@ -71,18 +65,27 @@ class BeRouter:
         # router (each one frees an upstream credit without being
         # forwarded) — observability for the header-extension path.
         self.route_words_stripped = 0
-        for key in self.inputs:
-            sim.process(self._input_process(*key),
-                        name=f"{name}.proc.{key[0].name}.{key[1]}")
+        # One input stage per input buffer, listed per direction: accept()
+        # runs per flit per hop, and a list index beats a tuple-keyed
+        # dict lookup.
+        self._stages_by_dir: Dict[Direction, List[_InputStage]] = {
+            direction: [_InputStage(self, direction, vc)
+                        for vc in range(vcs)]
+            for direction in _INPUT_KEYS
+        }
 
     def accept(self, in_dir: Direction, flit: BeFlit) -> None:
         """Arrival from a split module (or the local injection path).
 
-        Credits guarantee space; overflow is a protocol violation.
+        Credits guarantee space for the flits buffered plus the one the
+        input stage holds (taken from the buffer, its credit not yet
+        returned); more is a protocol violation.
         """
         vc = flit.vc if flit.vc < self.vcs else 0
-        store = self._inputs_by_dir[in_dir][vc]
-        if not store.try_put(flit):
+        stage = self._stages_by_dir[in_dir][vc]
+        store = stage.buf
+        if len(store.items) + stage.held >= store.capacity \
+                or not store.try_put(flit):
             raise RuntimeError(
                 f"{self.name}: BE input buffer {in_dir.name}/{vc} overflow "
                 "(credit protocol violated)")
@@ -97,7 +100,7 @@ class BeRouter:
 
     def _credit_fn(self, in_dir: Direction):
         """Per-flit credit-return callable, resolved once per input
-        process after the network is wired (links attach post-init)."""
+        stage after the network is wired (links attach post-init)."""
         if in_dir is Direction.LOCAL:
             return self.router.local_link.return_be_credit
         link = self.router.input_links.get(in_dir)
@@ -116,63 +119,144 @@ class BeRouter:
                 "router has no BE channels configured")
         return port.be_tx[min(vc, len(port.be_tx) - 1)].queue
 
-    def _input_process(self, in_dir: Direction, vc: int):
-        buf = self.inputs[(in_dir, vc)]
-        timing = self.config.timing
-        decode_ns = timing.ns(timing.delays.be_route_decode)
-        stage_ns = timing.ns(timing.delays.be_buffer_stage)
-        timeout = self.sim.timeout
-        credit = None
-        while True:
-            head = yield buf.get()
-            if credit is None:
-                # Links attach after construction, so the credit wire is
-                # resolved on first traffic and reused for every flit.
-                credit = self._credit_fn(in_dir) or (lambda _vc: None)
-            if not head.is_head:
-                raise RuntimeError(
-                    f"{self.name}: body flit at packet boundary on "
-                    f"{in_dir.name}/{vc} (wormhole coherency broken)")
-            out_dir = self._route(in_dir, head.word)
-            yield timeout(decode_ns)
-            route_ext = head.route_ext
-            while out_dir is Direction.LOCAL and route_ext > 0:
-                # Turn-back marker with extension words remaining: the
-                # route word is spent, not a delivery.  Strip it (its
-                # buffer slot goes back upstream as a credit), promote
-                # the next header-extension flit to be the new header,
-                # and re-decide this hop on the fresh word.
-                ext = yield buf.get()
-                credit(vc)
-                self.route_words_stripped += 1
-                route_ext -= 1
-                head = BeFlit(ext.word, is_head=True, is_tail=ext.is_tail,
-                              vc=head.vc, packet_id=head.packet_id,
-                              inject_time=head.inject_time,
-                              route_ext=route_ext)
-                out_dir = self._route(in_dir, head.word)
-                yield timeout(decode_ns)
-            lock = self.output_locks[(out_dir, vc)]
-            yield lock.request()
-            try:
-                # The output queue is fixed for the whole wormhole packet.
-                out_queue = self._out_queue(out_dir, vc)
-                rotated = BeFlit(rotate_header(head.word), is_head=True,
-                                 is_tail=head.is_tail, vc=head.vc,
-                                 packet_id=head.packet_id,
-                                 inject_time=head.inject_time,
-                                 route_ext=route_ext)
-                yield out_queue.put(rotated)
-                credit(vc)
-                self.flits_routed += 1
-                tail_seen = head.is_tail
-                while not tail_seen:
-                    flit = yield buf.get()
-                    yield timeout(stage_ns)
-                    yield out_queue.put(flit)
-                    credit(vc)
-                    self.flits_routed += 1
-                    tail_seen = flit.is_tail
-                self.packets_routed += 1
-            finally:
-                lock.release()
+
+class _InputStage:
+    """One (input port, BE VC) of the router as a callback state machine.
+
+    Head decode, chained-route stripping, the output lock and the
+    per-flit buffer stage run as plain calls while nothing blocks them;
+    the stage parks a bound method on the input store, output lock or
+    output queue event only when it has to wait.  Delays are deferred
+    calls, which the kernel orders exactly like timeouts.
+    """
+
+    __slots__ = ("be", "in_dir", "vc", "buf", "sim", "decode_ns",
+                 "stage_ns", "credit", "held", "head", "out_dir", "lock",
+                 "out_queue", "flit")
+
+    def __init__(self, be: BeRouter, in_dir: Direction, vc: int):
+        self.be = be
+        self.in_dir = in_dir
+        self.vc = vc
+        self.buf = be.inputs[(in_dir, vc)]
+        self.sim = be.sim
+        timing = be.config.timing
+        self.decode_ns = timing.ns(timing.delays.be_route_decode)
+        self.stage_ns = timing.ns(timing.delays.be_buffer_stage)
+        self.credit = None
+        #: Flits taken from the buffer whose credit is not yet returned.
+        self.held = 0
+        self.head: Optional[BeFlit] = None     # the packet's header
+        self.out_dir: Optional[Direction] = None
+        self.lock: Optional[Resource] = None
+        self.out_queue: Optional[Store] = None
+        self.flit: Optional[BeFlit] = None     # the flit being forwarded
+        self._next_head()
+
+    def _next_head(self) -> None:
+        flit = self.buf.try_get()
+        if flit is None:
+            self.buf.get().callbacks = self._head_arrived
+        else:
+            self._decode(flit)
+
+    def _head_arrived(self, event: Event) -> None:
+        self._decode(event._value)
+
+    def _decode(self, head: BeFlit) -> None:
+        self.held = 1
+        be = self.be
+        if self.credit is None:
+            # Links attach after construction, so the credit wire is
+            # resolved on first traffic and reused for every flit.
+            self.credit = be._credit_fn(self.in_dir) or (lambda _vc: None)
+        if not head.is_head:
+            raise RuntimeError(
+                f"{be.name}: body flit at packet boundary on "
+                f"{self.in_dir.name}/{self.vc} (wormhole coherency broken)")
+        self.head = head
+        self.out_dir = be._route(self.in_dir, head.word)
+        self.sim.defer(self.decode_ns, self._decoded)
+
+    def _decoded(self) -> None:
+        if self.out_dir is Direction.LOCAL and self.head.route_ext > 0:
+            # Turn-back marker with extension words remaining: the route
+            # word is spent, not a delivery.  The next header-extension
+            # flit becomes the new header and re-decides this hop.
+            ext = self.buf.try_get()
+            if ext is None:
+                self.buf.get().callbacks = self._ext_arrived
+            else:
+                self._strip(ext)
+            return
+        lock = self.be.output_locks[(self.out_dir, self.vc)]
+        self.lock = lock
+        if lock.try_acquire():
+            self._locked()
+        else:
+            lock.request().callbacks = self._locked
+
+    def _ext_arrived(self, event: Event) -> None:
+        self._strip(event._value)
+
+    def _strip(self, ext: BeFlit) -> None:
+        """Drop the spent route word (its buffer slot goes back upstream
+        as a credit) and promote the extension flit to header."""
+        self.credit(self.vc)
+        be = self.be
+        be.route_words_stripped += 1
+        head = self.head
+        self.head = BeFlit(ext.word, is_head=True, is_tail=ext.is_tail,
+                           vc=head.vc, packet_id=head.packet_id,
+                           inject_time=head.inject_time,
+                           route_ext=head.route_ext - 1)
+        self.out_dir = be._route(self.in_dir, ext.word)
+        self.sim.defer(self.decode_ns, self._decoded)
+
+    def _locked(self, _event: Optional[Event] = None) -> None:
+        """Output granted: it stays this packet's until the tail."""
+        try:
+            self.out_queue = self.be._out_queue(self.out_dir, self.vc)
+        except RuntimeError:
+            self.lock.release()
+            raise
+        head = self.head
+        self._forward(BeFlit(rotate_header(head.word), is_head=True,
+                             is_tail=head.is_tail, vc=head.vc,
+                             packet_id=head.packet_id,
+                             inject_time=head.inject_time,
+                             route_ext=head.route_ext))
+
+    def _forward(self, flit: BeFlit) -> None:
+        self.flit = flit
+        if self.out_queue.try_put(flit):
+            self._forwarded()
+        else:
+            self.out_queue.put(flit).callbacks = self._forwarded
+
+    def _forwarded(self, _event: Optional[Event] = None) -> None:
+        self.credit(self.vc)
+        self.held = 0
+        be = self.be
+        be.flits_routed += 1
+        if self.flit.is_tail:
+            be.packets_routed += 1
+            self.lock.release()
+            self._next_head()
+            return
+        body = self.buf.try_get()
+        if body is None:
+            self.buf.get().callbacks = self._body_arrived
+        else:
+            self._stage(body)
+
+    def _body_arrived(self, event: Event) -> None:
+        self._stage(event._value)
+
+    def _stage(self, flit: BeFlit) -> None:
+        self.held = 1
+        self.flit = flit
+        self.sim.defer(self.stage_ns, self._staged)
+
+    def _staged(self) -> None:
+        self._forward(self.flit)

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..sim.kernel import Event, Simulator, SimulationError, fire
 from ..sim.tracing import NULL_TRACER
@@ -56,8 +57,9 @@ class ArbiterPolicy:
 
         ``pending`` is a mapping whose keys are the contending requester
         ids; policies must only inspect the keys (the arbiter passes its
-        internal rid -> (event, request time) table straight through to
-        avoid rebuilding a dict per grant), so the values are opaque.
+        internal rid -> (grant callback, request time) table straight
+        through to avoid rebuilding a dict per grant), so the values are
+        opaque.
         """
         raise NotImplementedError
 
@@ -196,6 +198,9 @@ class LinkArbiter:
     dispatcher process that sleeps and polls.  Grant times are identical
     to the process formulation — ``max(selection time, request time +
     arbitration, link busy-until)`` — at a fraction of the kernel events.
+    Requesters contend with :meth:`contend` and are granted through a
+    plain callback: called directly when the grant is due at decision
+    time (backlogged link), deferred to the grant time otherwise.
     """
 
     def __init__(self, sim: Simulator, policy: ArbiterPolicy,
@@ -209,7 +214,7 @@ class LinkArbiter:
         self.arbitration_ns = arbitration_ns
         self.name = name
         self.tracer = tracer
-        self._pending: Dict[int, tuple] = {}  # rid -> (event, req_time)
+        self._pending: Dict[int, tuple] = {}  # rid -> (on_grant, req_time)
         self._busy_until = -float("inf")
         #: Time the queued dispatch fires at, or None when idle.  The
         #: schedule time never decreases, so one deferred call suffices.
@@ -219,23 +224,28 @@ class LinkArbiter:
         # request path skips an isinstance check per flit.
         self._enqueued_hook = getattr(policy, "enqueued", None)
 
-    def request(self, rid: int) -> Event:
-        """Contend for the link; the returned event fires at grant time."""
+    def contend(self, rid: int, on_grant: Callable[[float], None]) -> None:
+        """Contend for the link; ``on_grant(grant_time)`` runs at the
+        grant."""
         pending = self._pending
         if rid in pending:
             raise SimulationError(
                 f"{self.name}: requester {rid} already pending (the share "
                 "scheme allows one outstanding flit per VC)")
-        sim = self.sim
-        event = Event(sim)
-        now = sim._now
-        pending[rid] = (event, now)
+        now = self.sim._now
+        pending[rid] = (on_grant, now)
         if self._enqueued_hook is not None:
             self._enqueued_hook(rid)
         when = self._busy_until
         if when < now:
             when = now
         self._schedule_dispatch(when)
+
+    def request(self, rid: int) -> Event:
+        """Generator-facing :meth:`contend`: the returned event fires at
+        grant time with the grant time as its value."""
+        event = Event(self.sim)
+        self.contend(rid, partial(fire, event))
         return event
 
     @property
@@ -262,7 +272,7 @@ class LinkArbiter:
         # Policies only look at the keys, so the internal table is
         # handed over as-is (no per-grant dict rebuild).
         rid = self.policy.select(pending)
-        event, req_time = pending.pop(rid)
+        on_grant, req_time = pending.pop(rid)
         grant_time = req_time + self.arbitration_ns
         if grant_time < now:
             grant_time = now
@@ -281,13 +291,11 @@ class LinkArbiter:
                              grant_ns=grant_time,
                              waited_ns=grant_time - req_time)
         if grant_time > now:
-            # succeed(delay=...) fires the grant callbacks at grant_time
-            # with a single heap entry (no deferred re-enqueue two-step).
-            event.succeed(grant_time, delay=grant_time - now)
+            self.sim.defer(grant_time - now, on_grant, grant_time)
         else:
             # Backlogged link: the grant is due right now — run the
             # sender's continuation synchronously.
-            fire(event, grant_time)
+            on_grant(grant_time)
         if pending:
             # The media cycle must elapse before the next grant.
             self._schedule_dispatch(busy_until)

@@ -118,6 +118,13 @@ class VcSlot:
     ``on_departed`` is wired to the VC control module: it fires when a
     flit leaves the unsharebox, which is what toggles the unlock wire
     back along the connection.
+
+    Both stages of the slot are callback state machines: the mover
+    (unsharebox -> buffer) and, on a network port, the sender (buffer ->
+    link).  Each runs straight through while nothing blocks it and parks
+    itself on the store or gate event it waits for otherwise.  A stage
+    with no flit to work on is idle; the one producer feeding it (the
+    switch for the mover, the mover for the sender) restarts it.
     """
 
     def __init__(self, sim: Simulator, config: RouterConfig,
@@ -138,28 +145,73 @@ class VcSlot:
         self.buffer = Store(sim, capacity=1, name=f"{name}.buf")
         self.flow = make_flow(config, sim, name=f"{name}.flow")
         self.flits_through = 0
-        self._mover = sim.process(self._move(), name=f"{name}.mover")
+        self._transfer_ns = config.timing.unshare_transfer_ns()
+        self._mover_idle = True
+        self._sender_idle = False   # no sender until start_sender()
+        self._port: Optional["NetworkOutputPort"] = None
 
     def accept(self, flit: GsFlit) -> None:
         """Arrival from the switching module into the unsharebox."""
         self.unsharebox.accept(flit)
+        if self._mover_idle:
+            self._mover_idle = False
+            self._move()
 
-    def _move(self):
-        """Unsharebox -> buffer; the departure fires the unlock."""
-        transfer_ns = self.config.timing.unshare_transfer_ns()
-        latch_when_any = self.unsharebox.latch.when_any
+    def _move(self, _event: Optional[Event] = None) -> None:
+        """Mover: once a flit is latched and the buffer has space, spend
+        the unshare transfer time, then move it."""
+        if not self.unsharebox.latch.items:
+            self._mover_idle = True
+            return
         buffer = self.buffer
-        timeout = self.sim.timeout
-        take = self.unsharebox.take
-        while True:
-            yield latch_when_any()
-            yield buffer.when_space()
-            yield timeout(transfer_ns)
-            flit = yield take()
-            if not buffer.try_put(flit):
-                raise ShareProtocolError(
-                    f"{self.name}: buffer stolen during unshare transfer")
-            self.flits_through += 1
+        if len(buffer.items) >= buffer.capacity:
+            buffer.when_space().callbacks = self._move
+            return
+        self.sim.defer(self._transfer_ns, self._transfer)
+
+    def _transfer(self) -> None:
+        """Unsharebox -> buffer; the departure fires the unlock."""
+        flit = self.unsharebox.leave()
+        if not self.buffer.try_put(flit):
+            raise ShareProtocolError(
+                f"{self.name}: buffer stolen during unshare transfer")
+        if self._sender_idle:
+            self._sender_idle = False
+            self._send()
+        self.flits_through += 1
+        self._move()
+
+    def start_sender(self, port: "NetworkOutputPort") -> None:
+        """Contend for ``port``'s link whenever the head flit may
+        advance (network ports only; the NA drains a local slot)."""
+        self._port = port
+        self._send()
+
+    def _send(self, _event: Optional[Event] = None) -> None:
+        """Sender: request the link once a flit is buffered and the VC
+        flow control admits one onto the media."""
+        if not self.buffer.items:
+            self._sender_idle = True
+            return
+        flow = self.flow
+        if not flow.ready:
+            flow.wait_ready().callbacks = self._send
+            return
+        self._port._contend(self.vc, self._granted)
+
+    def _granted(self, _grant_time: float) -> None:
+        flit = self.buffer.try_get()
+        if flit is None:  # pragma: no cover - single consumer
+            raise ShareProtocolError(f"{self.name}: buffer raced empty")
+        self.flow.admit()
+        port = self._port
+        entry = port._require(self.out_port, self.vc)
+        if entry.steering is None:
+            raise ShareProtocolError(
+                f"{self.name}: network VC without forward steering")
+        port._bump("gs_link_flits")
+        port._transmit_gs(flit, entry.steering)
+        self._send()
 
     @property
     def occupancy(self) -> int:
@@ -171,7 +223,8 @@ class BeTxChannel:
 
     The BE channel shares the physical link through the same arbiter but
     has its own credit-based flow control, handled separately from the VC
-    control module (paper Sections 4.3 and 5).
+    control module (paper Sections 4.3 and 5).  Its sender is a callback
+    state machine like the GS one in :class:`VcSlot`.
     """
 
     def __init__(self, sim: Simulator, config: RouterConfig, vc: int,
@@ -185,7 +238,9 @@ class BeTxChannel:
         self.credits = config.be_buffer_depth
         self._gate = Gate(sim, is_open=True, name=f"{name}.credits")
         self.flits_sent = 0
-        self.credit_stalls = 0  # head flit found zero downstream credits
+        # Waits for a downstream credit: counted once per wait, for
+        # whichever queued flit (head or body) found zero credits.
+        self.credit_stalls = 0
 
     def credit_return(self) -> None:
         if self.credits >= self.config.be_buffer_depth:
@@ -200,16 +255,44 @@ class BeTxChannel:
         if self.credits == 0:
             self._gate.close()
 
-    def wait_credit(self) -> Event:
-        return self._gate.wait_open()
+    def start_sender(self, port: "NetworkOutputPort") -> None:
+        """Contend for ``port``'s link whenever a queued flit has a
+        downstream credit."""
+        self._port = port
+        self._rid = self.config.vcs_per_port + self.vc
+        self._send()
+
+    def _send(self, _event: Optional[Event] = None) -> None:
+        queue = self.queue
+        if not queue.items:
+            queue.when_any().callbacks = self._send
+            return
+        if self.credits <= 0:
+            # The gate opens only on a credit return, so the retry finds
+            # a credit and this stall episode is counted exactly once.
+            self.credit_stalls += 1
+            self._gate.wait_open().callbacks = self._send
+            return
+        self._port._contend(self._rid, self._granted)
+
+    def _granted(self, _grant_time: float) -> None:
+        flit = self.queue.try_get()
+        if flit is None:  # pragma: no cover - single consumer
+            raise ShareProtocolError(f"{self.name}: queue raced empty")
+        self.consume_credit()
+        self.flits_sent += 1
+        port = self._port
+        port._bump("be_link_flits")
+        port._transmit_be(flit)
+        self._send()
 
 
 class NetworkOutputPort:
     """A network output: V VC slots + BE channels + the link arbiter.
 
     The port is created unattached; :meth:`attach_link` wires it to the
-    physical link and starts the sender processes (the arbiter cycle time
-    depends on the link's pipelining).
+    physical link and starts the senders (the arbiter cycle time depends
+    on the link's pipelining).
     """
 
     def __init__(self, sim: Simulator, router, direction: Direction,
@@ -248,63 +331,17 @@ class NetworkOutputPort:
             self.sim, policy, cycle_ns=link.media_cycle_ns,
             arbitration_ns=self.config.timing.arbitration_ns(),
             name=f"{self.name}.arb", tracer=self.router.tracer)
+        # The senders' collaborators, fixed for the port's lifetime and
+        # used once per flit.
+        self._contend = self.arbiter.contend
+        self._require = self.router.table.require
+        self._bump = self.router.counters.bump
+        self._transmit_gs = link.transmit_gs
+        self._transmit_be = link.transmit_be
         for slot in self.slots:
-            self.sim.process(self._gs_sender(slot),
-                             name=f"{slot.name}.sender")
+            slot.start_sender(self)
         for chan in self.be_tx:
-            self.sim.process(self._be_sender(chan),
-                             name=f"{chan.name}.sender")
-
-    def _gs_sender(self, slot: VcSlot):
-        """Contend for the link whenever the slot head flit may advance.
-
-        The loop runs once per flit on this VC, so its collaborators are
-        bound once up front (they are fixed for the port's lifetime).
-        """
-        buffer = slot.buffer
-        flow = slot.flow
-        vc = slot.vc
-        request = self.arbiter.request
-        require = self.router.table.require
-        bump = self.router.counters.bump
-        transmit = self.link.transmit_gs
-        direction = self.direction
-        while True:
-            yield buffer.when_any()
-            while not flow.ready:
-                yield flow.wait_ready()
-            yield request(vc)
-            flit = buffer.try_get()
-            if flit is None:  # pragma: no cover - single consumer
-                raise ShareProtocolError(f"{slot.name}: buffer raced empty")
-            flow.admit()
-            entry = require(direction, vc)
-            if entry.steering is None:
-                raise ShareProtocolError(
-                    f"{slot.name}: network VC without forward steering")
-            bump("gs_link_flits")
-            transmit(flit, entry.steering)
-
-    def _be_sender(self, chan: BeTxChannel):
-        be_rid = self.config.vcs_per_port + chan.vc
-        queue = chan.queue
-        request = self.arbiter.request
-        bump = self.router.counters.bump
-        transmit = self.link.transmit_be
-        while True:
-            yield queue.when_any()
-            if chan.credits <= 0:
-                chan.credit_stalls += 1
-            while chan.credits <= 0:
-                yield chan.wait_credit()
-            yield request(be_rid)
-            flit = queue.try_get()
-            if flit is None:  # pragma: no cover - single consumer
-                raise ShareProtocolError(f"{chan.name}: queue raced empty")
-            chan.consume_credit()
-            chan.flits_sent += 1
-            bump("be_link_flits")
-            transmit(flit)
+            chan.start_sender(self)
 
     def sharebox_release(self, vc: int) -> None:
         """Unlock/credit return arriving over the link's reverse wires."""

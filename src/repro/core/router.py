@@ -138,13 +138,13 @@ class MangoRouter:
         """Flit injection proper; caller must hold the local BE port."""
         cycle_ns = self.config.timing.link_cycle_ns
         be_router = self.be_router
-        local_inputs = be_router._inputs_by_dir[Direction.LOCAL]
+        local_stages = be_router._stages_by_dir[Direction.LOCAL]
         vcs = be_router.vcs
         bump = self.counters.bump
         timeout = self.sim.timeout
         for flit in flits:
             vc = flit.vc if flit.vc < vcs else 0
-            yield local_inputs[vc].put(flit)
+            yield local_stages[vc].buf.put(flit)
             bump("be_local_injected")
             yield timeout(cycle_ns)
 

@@ -15,7 +15,7 @@ The JSON written by :meth:`ChromeTraceSink.to_json` loads in
 becomes one named track) and is **byte-deterministic**: events are
 sorted by a total key and timestamps are rounded to femtosecond
 granularity, so the export is identical across ``run`` vs ``run_batch``
-driving, both schedulers, and hop batching on/off (condensed hops
+driving and hop batching on/off (condensed hops
 re-expand to the exact cycle boundaries an unbatched run fires at,
 differing only by float ulps, which the rounding absorbs).
 

@@ -250,9 +250,16 @@ class Resource:
     def queued(self) -> int:
         return len(self._queue)
 
-    def request(self) -> Event:
+    def try_acquire(self) -> bool:
+        """Non-blocking :meth:`request`: take a free slot and return True,
+        or return False (queueing nothing) when a request would wait."""
         if self._users < self.capacity and not self._queue:
             self._users += 1
+            return True
+        return False
+
+    def request(self) -> Event:
+        if self.try_acquire():
             return Event.completed(self.sim)
         event = Event(self.sim)
         self._queue.append(event)

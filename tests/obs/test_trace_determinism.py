@@ -2,9 +2,9 @@
 
 The Chrome export's contract (``repro.obs.trace``): the same scenario
 produces the *same bytes* no matter how the kernel was driven —
-``run`` vs ``run_batch``, heap vs calendar-queue scheduler, link-segment
-hop batching on or off, and across repeated runs in one process (trace
-tags are run-relative, never process-global ids).  Any drift here means
+``run`` vs ``run_batch``, link-segment hop batching on or off, and
+across repeated runs in one process (trace tags are run-relative, never
+process-global ids).  Any drift here means
 emission order or float arithmetic leaked into the artifact.
 """
 
@@ -14,8 +14,8 @@ from repro.obs import ChromeTraceSink, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 from repro.sim.tracing import Tracer
 
-#: One mango mesh cell, one graph-fabric cell (the hop-batching and
-#: calendar-queue paths live in the fabrics).
+#: One mango mesh cell, one graph-fabric cell (the hop-batching path
+#: lives in the fabrics).
 CELLS = ("be-uniform-4x4", "ring-cbr-8x8")
 
 
@@ -40,15 +40,6 @@ def test_event_vs_batch_drive(cell):
     event = _export(cell, mode="event")
     batch = _export(cell, mode="batch")
     assert event == batch
-
-
-@pytest.mark.parametrize("cell", CELLS)
-def test_heap_vs_calendar_scheduler(cell, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    heap = _export(cell)
-    monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-    calendar = _export(cell)
-    assert heap == calendar
 
 
 def test_hop_batching_on_off(monkeypatch):
