@@ -16,26 +16,21 @@ run-phase (construction excluded) rates:
 
 Wall-clock rates swing with the host, so the gate is an exact work
 counter instead: ``test_calls_per_hop_ceiling`` profiles the run phase
-of ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` with cProfile
-and asserts the Python calls per flit hop stay within
-``CEILING_SLACK`` of the values in ``CALLS_PER_HOP`` (the count is
-identical from run to run).  An extra call per hop anywhere on the path
-turns it red; a real speedup lowers the count, after which the constants
-are re-recorded from the new code.
-
-``test_hop_batching_ab`` replays a fabric cell (mango is excluded from
-batching) with hop batching on and off and asserts the fingerprint, hop
-total and verdicts are identical: batching must be exact condensation,
-never approximation.
+of ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` (the MANGO
+router stages) and ``routerless-cbr-8x8`` (the fair-share fabric
+transport in ``backends/graphnet.py``) with cProfile and asserts the
+Python calls per flit hop stay within ``CEILING_SLACK`` of the values
+in ``CALLS_PER_HOP`` (the count is identical from run to run).  An
+extra call per hop anywhere on the path turns it red; a real speedup
+lowers the count, after which the constants are re-recorded from the
+new code.
 
 The absolute rates are machine-dependent; the flit-hop counts are not
 (asserted below, stable since the scenarios were hand-rolled here — the
 runner reproduces the original construction order exactly).
 """
 
-import contextlib
 import cProfile
-import os
 import pstats
 
 from repro.analysis.report import Table
@@ -50,33 +45,16 @@ SCENARIOS = (("corner-streams-6x6", 18_484),
              ("corner-streams-8x8", 29_396))
 
 #: Run-phase Python calls per flit hop at full duration, recorded from
-#: the callback-driven router stages, with the cell's flit hops.
+#: the callback-driven router stages and the per-hop fair-share
+#: transport, with the cell's flit hops.
 CALLS_PER_HOP = {
     "corner-streams-8x8": (80.61, 29_396),
     "gs-under-saturation-8x8": (75.37, 56_565),
+    "routerless-cbr-8x8": (29.74, 42_936),
 }
 
 #: Red above this multiple of the recorded calls per hop.
 CEILING_SLACK = 1.02
-
-#: Fabric cell for the batching A/B — ring backend, where uncontended
-#: link segments actually condense (mango keeps per-hop events).
-BATCHING_CELL = "ring-cbr-8x8"
-
-
-@contextlib.contextmanager
-def _env(name, value):
-    """Temporarily pin one environment variable (``FairShareNetwork``
-    reads its knobs at construction time)."""
-    old = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ[name]
-        else:
-            os.environ[name] = old
 
 
 def run_experiment():
@@ -149,31 +127,3 @@ def test_calls_per_hop_ceiling(benchmark):
         assert per_hop <= recorded * CEILING_SLACK, (
             f"{name}: {per_hop:.2f} calls per flit hop exceeds "
             f"{CEILING_SLACK}x the recorded {recorded}")
-
-
-def run_batching_ab():
-    table = Table(["hop batching", "kernel events", "flit hops",
-                   "batches", "wall s", "fingerprint"],
-                  title=f"Hop batching on/off, {BATCHING_CELL} "
-                        "(exact condensation asserted)")
-    results = {}
-    for setting in ("0", "1"):
-        with _env("REPRO_HOP_BATCHING", setting):
-            result = run_scenario(BATCHING_CELL)
-        results[setting] = result
-        table.add_row("off" if setting == "0" else "on", result.events,
-                      result.flit_hops, "-", round(result.wall_s, 3),
-                      result.fingerprint)
-    return results, table
-
-
-def test_hop_batching_ab(benchmark):
-    results, table = run_once(benchmark, run_batching_ab)
-    record("K1c", "link-segment hop batching A/B", table.render())
-
-    off, on = results["0"], results["1"]
-    # Batching is condensation, not approximation: every flit crosses
-    # the same links at the same cycles either way.
-    assert off.fingerprint == on.fingerprint
-    assert off.flit_hops == on.flit_hops
-    assert off.passed and on.passed

@@ -163,7 +163,7 @@ def cmd_scenario(args) -> int:
                             metrics_sample_ns=args.metrics_sample_ns)
         runner = ScenarioRunner(spec, backend=backend,
                                 allocator=args.allocator, obs=obs)
-        return runner.run(mode=args.mode)
+        return runner.run()
 
     def resolve(requested):
         """Fail fast (and cleanly) on typos, before any scenario runs."""
@@ -186,7 +186,6 @@ def cmd_scenario(args) -> int:
         table = Table(["metric", "value"],
                       title=f"Scenario {result.name} "
                             f"({'smoke' if smoke else 'full'}, "
-                            f"{args.mode} drive, "
                             f"backend {result.backend})")
         table.add_row("mesh", f"{result.cols}x{result.rows}")
         if result.topology != "mesh":
@@ -304,14 +303,14 @@ def cmd_scenario(args) -> int:
     from .scenarios.fleet import FleetCell, run_fleet
     cells = [FleetCell(name=name, backend=args.backend,
                        allocator=args.allocator, topology=args.topology,
-                       smoke=smoke, mode=args.mode, metrics=args.metrics)
+                       smoke=smoke, metrics=args.metrics)
              for name in selected]
     outcomes = run_fleet(cells, jobs=args.jobs, cache_dir=args.cache_dir)
     table = Table(["scenario", "mesh", "BE recv/sent", "GS ok",
                    "p99 ns", "fingerprint", "verdict"],
                   title=f"QoS conformance matrix "
                         f"({'smoke' if smoke else 'full'} duration, "
-                        f"{args.mode} drive, backend {backend_label})")
+                        f"backend {backend_label})")
     failed = []
     skipped = 0
     errored = 0
@@ -476,8 +475,8 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         outcomes = run_fleet(cells, jobs=args.jobs)
         wall = time.perf_counter() - start
-        run_info = {"smoke": args.smoke, "mode": "event",
-                    "jobs": args.jobs, "backend": args.backend or "auto",
+        run_info = {"smoke": args.smoke, "jobs": args.jobs,
+                    "backend": args.backend or "auto",
                     "allocator": args.allocator,
                     "names": args.names or "all",
                     # Part of the header so `compare` can warn when two
@@ -933,9 +932,6 @@ def main(argv=None) -> int:
                           help="scenario name (for 'run')")
     scenario.add_argument("--smoke", action="store_true",
                           help="CI-sized durations (capped slots/flits)")
-    scenario.add_argument("--mode", choices=("event", "batch"),
-                          default="event",
-                          help="kernel drive style (fingerprints match)")
     from .backends import backend_names
     scenario.add_argument("--backend", choices=backend_names(),
                           default=None,

@@ -37,8 +37,8 @@ from typing import Dict, List, Union
 
 from .base import BackendCapabilityError, RouterBackend
 from .generic_vc import GenericVcBackend, GenericVcNetwork
-from .graphnet import (BaseGraphNetwork, BaseMeshNetwork, FairShareNetwork,
-                       MeshAdapter, MeshConnection)
+from .graphnet import (BaseGraphNetwork, FairShareNetwork, GraphAdapter,
+                       GraphConnection)
 from .mango import MangoBackend
 from .priority import PriorityBackend
 from .ring import RingBackend
@@ -49,14 +49,13 @@ __all__ = [
     "BACKENDS",
     "BackendCapabilityError",
     "BaseGraphNetwork",
-    "BaseMeshNetwork",
     "DEFAULT_TABLE_SIZE",
     "FairShareNetwork",
     "GenericVcBackend",
     "GenericVcNetwork",
+    "GraphAdapter",
+    "GraphConnection",
     "MangoBackend",
-    "MeshAdapter",
-    "MeshConnection",
     "PriorityBackend",
     "RingBackend",
     "RouterBackend",

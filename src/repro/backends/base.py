@@ -28,7 +28,7 @@ attribute / method        used by
 ``sim``                   source processes, collectors, drive loops
 ``mesh``                  spatial patterns, per-tile workload construction
 ``config``                verdict slack, QoS contracts
-``now`` / ``run`` /       the runner's event/batch drive modes
+``now`` / ``run`` /       the runner's drive loop; ``run_batch`` slicing
 ``run_batch``
 ``links``                 ``{(Coord, Direction): obj}`` with ``.gs_flits`` /
                           ``.be_flits`` — flit-hop totals and fingerprints

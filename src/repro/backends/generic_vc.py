@@ -39,9 +39,10 @@ from typing import Generator, Optional
 from ..baselines.generic_vc_router import GenericFlit, GenericVcRouter
 from ..core.config import RouterConfig
 from ..network.packet import BePacket
-from ..network.topology import Coord, Direction
+from ..network.topology import Coord, Direction, Topology
 from .base import RouterBackend
-from .graphnet import BaseMeshNetwork, MeshAdapter, MeshConnection, _trace_tag
+from .graphnet import (BaseGraphNetwork, GraphAdapter, GraphConnection,
+                       _trace_tag)
 
 __all__ = ["MeshRoutedFlit", "GenericVcNetwork", "GenericVcBackend"]
 
@@ -70,12 +71,12 @@ class MeshRoutedFlit(GenericFlit):
     last: bool = False
 
 
-class GenericVcNetwork(BaseMeshNetwork):
-    """A cols x rows mesh of generic arbitrated-switch VC routers."""
+class GenericVcNetwork(BaseGraphNetwork):
+    """A mesh of generic arbitrated-switch VC routers."""
 
-    def __init__(self, cols: int, rows: int,
+    def __init__(self, topology: Topology,
                  config: Optional[RouterConfig] = None):
-        super().__init__(cols, rows, config=config)
+        super().__init__(topology, config=config)
         self.cycle_ns = self.config.timing.link_cycle_ns
         self.routers = {}
         for coord in self.mesh.tiles():
@@ -151,7 +152,7 @@ class GenericVcNetwork(BaseMeshNetwork):
 
     # -- transport ---------------------------------------------------------
 
-    def _inject_gs(self, conn: MeshConnection, payload: int,
+    def _inject_gs(self, conn: GraphConnection, payload: int,
                    last: bool) -> None:
         flit = MeshRoutedFlit(output=0, flow=f"gs{conn.connection_id}",
                               payload=payload, dst=conn.dst, kind="gs",
@@ -168,7 +169,7 @@ class GenericVcNetwork(BaseMeshNetwork):
                                  flit):  # pragma: no cover
             raise RuntimeError("unbounded input FIFO refused a GS flit")
 
-    def _inject_be(self, adapter: MeshAdapter, dst: Coord,
+    def _inject_be(self, adapter: GraphAdapter, dst: Coord,
                    packet: BePacket) -> Generator:
         """One transfer unit per packet, weighing header + payload flits
         (the same flit count as a <=15-hop MANGO BE packet, so offered
@@ -204,12 +205,12 @@ class GenericVcBackend(RouterBackend):
 
     def build_network(self, spec, config: Optional[RouterConfig] = None,
                       obs=None) -> GenericVcNetwork:
-        net = GenericVcNetwork(spec.cols, spec.rows, config=config)
+        net = GenericVcNetwork(spec.make_topology(config), config=config)
         net.attach_observability(obs)
         return net
 
     def open_connection(self, network: GenericVcNetwork, src: Coord,
-                        dst: Coord) -> MeshConnection:
+                        dst: Coord) -> GraphConnection:
         """No admission control — Section 4.1's point.  Any request is
         accepted; its flits simply contend with everything else."""
         return network.register_connection(src, dst)

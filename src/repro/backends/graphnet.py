@@ -14,10 +14,6 @@ Everything is keyed on **graph links** — ``(node, port)`` pairs from
 :meth:`Topology.graph_links` — so the same scaffolding drives a 4-port
 mesh (ports are :class:`~repro.network.topology.Direction`) and a
 2-port ring (ports are :class:`~repro.network.topology.Port`).
-:class:`BaseMeshNetwork` is the grid instantiation the generic-VC and
-TDM backends subclass; it builds the same ``Mesh`` with the same
-iteration order as it always did, so the mango-era goldens are
-bit-identical.
 
 :class:`FairShareNetwork` is the transport the ring and routerless
 fabrics share: per-link round-robin over per-connection GS queues with
@@ -31,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Generator, List, Optional, Tuple
@@ -39,7 +34,7 @@ from typing import Deque, Dict, Generator, List, Optional, Tuple
 from ..core.config import RouterConfig
 from ..network.connection import AdmissionError, GsSink
 from ..network.packet import BePacket
-from ..network.topology import Coord, Mesh, Topology
+from ..network.topology import Coord, Topology
 from ..sim.kernel import Simulator
 from ..sim.resources import Store
 from ..sim.tracing import NULL_TRACER
@@ -51,12 +46,9 @@ __all__ = [
     "GraphConnection",
     "ConnectionRegistry",
     "BaseGraphNetwork",
-    "BaseMeshNetwork",
     "FairShareFlit",
     "FairShareLink",
     "FairShareNetwork",
-    "MeshAdapter",
-    "MeshConnection",
 ]
 
 #: Tolerance when mapping continuous time onto cycle boundaries.
@@ -276,28 +268,6 @@ class BaseGraphNetwork:
         raise NotImplementedError
 
 
-class BaseMeshNetwork(BaseGraphNetwork):
-    """The grid instantiation: a ``cols x rows`` :class:`Mesh` with XY
-    as the route function — what the generic-VC and TDM backends
-    subclass.  Construction and iteration order are those of the mesh's
-    own link/tile enumeration, so pre-refactor fingerprints reproduce
-    bit-identically."""
-
-    def __init__(self, cols: int, rows: int,
-                 config: Optional[RouterConfig] = None):
-        config = config or RouterConfig()
-        mesh = Mesh(cols, rows,
-                    link_length_mm=config.link_length_mm,
-                    link_stages=config.link_stages)
-        super().__init__(mesh, config=config)
-
-
-# Grid-era names: the scaffolding types predate the topology layer and
-# are re-exported under their historical mesh names.
-MeshAdapter = GraphAdapter
-MeshConnection = GraphConnection
-
-
 # -- fair-share graph transport (ring / routerless fabrics) ------------------
 
 
@@ -316,31 +286,6 @@ class FairShareFlit:
     packet: Optional[BePacket] = None
     connection_id: int = -1
     last: bool = False
-
-
-class _HopBatch:
-    """A flit's reservation to cross a run of uncontended links as one
-    condensed event.
-
-    ``links[j]`` is crossed at cycle boundary ``cycles[j]`` (consecutive
-    integers); ``committed`` marks how many crossings have had their
-    bookkeeping applied; ``end`` shrinks when a conflict truncates the
-    reservation; ``gen`` invalidates the stale arrival event after a
-    truncation reschedules it.
-    """
-
-    __slots__ = ("flit", "links", "cycles", "base_hop", "end",
-                 "committed", "gen")
-
-    def __init__(self, flit: FairShareFlit, links: List["FairShareLink"],
-                 cycles: List[int], base_hop: int):
-        self.flit = flit
-        self.links = links
-        self.cycles = cycles
-        self.base_hop = base_hop            # index of the link last
-        self.end = len(links)               # crossed by a real _fire
-        self.committed = 0
-        self.gen = 0
 
 
 class FairShareLink:
@@ -371,30 +316,12 @@ class FairShareLink:
         self.be_queue: Deque[FairShareFlit] = deque()
         self._armed_cycle: Optional[int] = None
         self._min_next_cycle = 0            # one departure per boundary
-        #: Flits anywhere in the network whose remaining route includes
-        #: this link (queued here, upstream, or reserved in a batch).
-        #: ``pending == 1`` at batch-creation time means the candidate
-        #: flit is provably alone on this link — the hop-batching
-        #: eligibility test (docs/kernel.md).
-        self.pending = 0
-        #: ``(batch, offset)`` while a batched flit holds a reservation
-        #: to cross this link at ``batch.cycles[offset]``; ``None``
-        #: otherwise.
-        self._transit: Optional[Tuple["_HopBatch", int]] = None
 
     def admit(self, connection_id: int) -> None:
         self.gs_queues[connection_id] = deque()
         self.gs_order.append(connection_id)
 
     def enqueue(self, flit: FairShareFlit) -> None:
-        if self._transit is not None:
-            # A newcomer may contend with the reserved crossing; resolve
-            # *before* appending so a same-boundary materialized arrival
-            # keeps its place ahead of this flit, as its scheduler entry
-            # would have.
-            self.network._transit_conflict(
-                self, max(math.ceil(self.sim.now / self.cycle_ns - _EPS),
-                          self._min_next_cycle))
         if flit.kind == "gs":
             self.gs_queues[flit.connection_id].append(flit)
         else:
@@ -413,15 +340,6 @@ class FairShareLink:
         cycle = self._next_eligible_cycle()
         if cycle is None:
             return
-        if self._transit is not None:
-            # A queued flit's next departure may land on the reserved
-            # boundary (e.g. the flit behind the one that just fired);
-            # resolving can commit or truncate the batch, moving
-            # _min_next_cycle, so recompute.
-            self.network._transit_conflict(self, cycle)
-            cycle = self._next_eligible_cycle()
-            if cycle is None:  # pragma: no cover - queues never shrink here
-                return
         if self._armed_cycle is not None and self._armed_cycle <= cycle:
             return
         self._armed_cycle = cycle
@@ -455,57 +373,18 @@ class FairShareLink:
         else:  # pragma: no cover - queues only grow while armed
             self._schedule()
             return
-        self.pending -= 1
         # The flit occupies this cycle on the wire; it is at the next
         # node for the following boundary.
-        network = self.network
-        tracer = network.tracer
+        tracer = self.network.tracer
         if tracer.enabled:
-            # Timestamped at the *boundary* (cycle * cycle_ns), exactly
-            # as _commit re-expands condensed crossings — so batched and
-            # unbatched runs export identical spans.
+            # Timestamped at the exact boundary (cycle * cycle_ns), not
+            # the float-accumulated dispatch time.
             tracer.emit(cycle * self.cycle_ns, self.label, "hop",
                         flit=_trace_tag(flit), cls=flit.kind,
                         dur_ns=self.cycle_ns, cycle=cycle)
-        hop = flit.hop
-        keys = flit.keys
-        n = len(keys)
-        if network.batch_hops and hop + 1 < n:
-            # Hop batching: condense the uncontended prefix of the
-            # remaining route into one arrival event.  A downstream link
-            # is coverable when this flit is provably the only traffic
-            # that can reach it by its crossing boundary (pending == 1),
-            # no other batch holds it, and its wire is free at that
-            # boundary.  Conflicts from later injections are caught by
-            # the _transit checks in enqueue/_schedule, which commit or
-            # truncate the reservation exactly (docs/kernel.md).
-            fair_links = network.fair_links
-            links: List["FairShareLink"] = []
-            index = hop + 1
-            boundary = cycle + 1
-            while index < n:
-                nxt = fair_links[keys[index]]
-                if nxt.pending != 1 or nxt._transit is not None \
-                        or nxt._min_next_cycle > boundary:
-                    break
-                links.append(nxt)
-                index += 1
-                boundary += 1
-            if links:
-                k = len(links)
-                batch = _HopBatch(flit, links,
-                                  list(range(cycle + 1, cycle + 1 + k)), hop)
-                for offset, link in enumerate(links):
-                    link._transit = (batch, offset)
-                network.batches += 1
-                arrive = (cycle + 1 + k) * self.cycle_ns
-                self.sim.defer(max(0.0, arrive - self.sim.now),
-                               network._batch_arrive, batch, k, 0)
-                self._schedule()
-                return
         arrive = (cycle + 1) * self.cycle_ns
         self.sim.defer(max(0.0, arrive - self.sim.now),
-                       network._arrive, flit)
+                       self.network._arrive, flit)
         self._schedule()
 
 
@@ -521,21 +400,11 @@ class FairShareNetwork(BaseGraphNetwork):
     """
 
     def __init__(self, topology: Topology,
-                 config: Optional[RouterConfig] = None,
-                 batch_hops: Optional[bool] = None):
+                 config: Optional[RouterConfig] = None):
         super().__init__(topology, config=config)
         self.cycle_ns = self.config.timing.link_cycle_ns
         #: GS connections admitted per link before rejection.
         self.gs_capacity = self.config.vcs_per_port
-        #: Link-segment hop batching (docs/kernel.md): condense a flit's
-        #: uncontended downstream crossings into one arrival event.
-        #: Exact — the golden fingerprints pin identical output either
-        #: way; ``REPRO_HOP_BATCHING=0`` switches it off for A/B runs.
-        if batch_hops is None:
-            batch_hops = os.environ.get("REPRO_HOP_BATCHING", "1") != "0"
-        self.batch_hops = batch_hops
-        self.batches = 0                    # reservations created
-        self.batched_hops = 0               # crossings condensed
         self.fair_links: Dict[Tuple[Coord, object], FairShareLink] = {
             link.key: FairShareLink(self, link.key, link.dst,
                                     self.links[link.key])
@@ -574,10 +443,7 @@ class FairShareNetwork(BaseGraphNetwork):
                         "inject", flit=_trace_tag(flit), cls="gs",
                         dur_ns=self.cycle_ns)
         self.adapters[conn.src].local_link.gs_flits += 1
-        fair_links = self.fair_links
-        for key in conn.link_keys:
-            fair_links[key].pending += 1
-        fair_links[conn.link_keys[0]].enqueue(flit)
+        self.fair_links[conn.link_keys[0]].enqueue(flit)
 
     def _inject_be(self, adapter: GraphAdapter, dst: Coord,
                    packet: BePacket) -> Generator:
@@ -586,12 +452,9 @@ class FairShareNetwork(BaseGraphNetwork):
         route."""
         keys = self.topology.route_links(
             adapter.coord, self.route_fn(adapter.coord, dst))
-        fair_links = self.fair_links
-        first = fair_links[keys[0]]
+        first = self.fair_links[keys[0]]
         words = [packet.header] + packet.words
         for index, word in enumerate(words):
-            for key in keys:
-                fair_links[key].pending += 1
             flit = FairShareFlit(
                 payload=word, dst=dst, keys=keys, kind="be",
                 inject_time=packet.inject_time,
@@ -622,115 +485,3 @@ class FairShareNetwork(BaseGraphNetwork):
                 self.adapters[flit.dst].deliver_packet(flit.packet)
             return
         self.fair_links[flit.keys[flit.hop]].enqueue(flit)
-
-    # -- hop batching (docs/kernel.md) -------------------------------------
-
-    def _commit(self, batch: _HopBatch, upto: int) -> None:
-        """Apply the bookkeeping of crossings ``committed..upto-1``: the
-        crossing happened exactly as an unbatched departure would have at
-        boundary ``cycles[j]`` — counters, the one-departure-per-boundary
-        floor, the round-robin cursor advance, and the pending count.
-
-        Only ever called once those boundaries have been reached (commit
-        points are the batch's arrival event or a conflict resolution at
-        or after the boundary), so no link ever observes a crossing from
-        its future.
-        """
-        flit = batch.flit
-        gs = flit.kind == "gs"
-        cid = flit.connection_id
-        sim = self.sim
-        tracer = self.tracer
-        tag = _trace_tag(flit) if tracer.enabled else None
-        for j in range(batch.committed, upto):
-            link = batch.links[j]
-            link._transit = None
-            link.pending -= 1
-            boundary = batch.cycles[j]
-            if link._min_next_cycle <= boundary:
-                link._min_next_cycle = boundary + 1
-            if gs:
-                link.counters.gs_flits += 1
-                # Exactly what _pick_gs would have done with this flit
-                # alone in its queue: serve it, advance the cursor past
-                # its connection.
-                order = link.gs_order
-                link._rr_index = (order.index(cid) + 1) % len(order)
-            else:
-                link.counters.be_flits += 1
-            if tracer.enabled:
-                # Re-expand the condensed crossing into the identical
-                # span an unbatched _fire would have emitted at this
-                # boundary (the batch knows the exact cycle).
-                tracer.emit(boundary * self.cycle_ns, link.label, "hop",
-                            flit=tag, cls=flit.kind,
-                            dur_ns=self.cycle_ns, cycle=boundary)
-            self.batched_hops += 1
-            # Each condensed crossing replaces two scheduler entries
-            # (the arrival defer and the departure-boundary defer); they
-            # stay in the logical event count (sim/kernel.py docstring).
-            # The batch's own arrival entry stands in for the first
-            # crossing's arrival, so that one contributes 1, not 2 —
-            # a completed batch counts exactly what unbatched would.
-            sim.events_processed += 1 if j == 0 else 2
-        batch.committed = upto
-
-    def _batch_arrive(self, batch: _HopBatch, upto: int, gen: int) -> None:
-        """The batch's single arrival event: commit the crossings and
-        re-enter the normal per-hop path after the last covered link.
-        Stale events from before a truncation carry an old ``gen`` and
-        fall through."""
-        if gen != batch.gen:
-            return
-        self._commit(batch, upto)
-        flit = batch.flit
-        flit.hop = batch.base_hop + upto
-        self._arrive(flit)
-
-    def _transit_conflict(self, link: FairShareLink, cycle: int) -> None:
-        """Resolve a potential collision between ``link``'s next real
-        departure at ``cycle`` and the reservation crossing it.
-
-        Crossings whose boundary already passed are committed (nothing
-        contended them, or this would have run earlier).  If the real
-        departure lands on or before the reserved boundary, the
-        reservation from this link onward dissolves and the batched
-        flit's arrival here becomes a real event at exactly the reserved
-        boundary — from that moment the simulation is the unbatched one,
-        so arbitration between the two flits is decided by the real
-        discipline, not the batch.  ``cycle`` may be conservative (the
-        newcomer's earliest possible departure): truncating early never
-        changes outcomes, it only forfeits the condensation.
-        """
-        batch, offset = link._transit
-        now = self.sim.now
-        now_cycle = now / self.cycle_ns
-        upto = batch.committed
-        cycles = batch.cycles
-        end = batch.end
-        while upto < end and cycles[upto] < now_cycle - _EPS:
-            upto += 1
-        if upto > batch.committed:
-            self._commit(batch, upto)
-        if link._transit is None:
-            return                          # flit already past this link
-        if cycle < cycles[offset]:
-            return                          # departs before the crossing
-        # Truncate: links[offset:] give up their reservations; the batch
-        # now ends with the crossing of links[offset-1].
-        for j in range(offset, end):
-            batch.links[j]._transit = None
-        batch.end = offset
-        batch.gen += 1
-        arrive = cycles[offset] * self.cycle_ns
-        if arrive <= now + _EPS:
-            # The contended boundary is *now*: materialize the arrival
-            # synchronously so the flit enters the queue ahead of the
-            # caller's enqueue, as its arrival event would have.
-            self._commit(batch, offset)
-            flit = batch.flit
-            flit.hop = batch.base_hop + offset
-            self._arrive(flit)
-        else:
-            self.sim.defer(arrive - now,
-                           self._batch_arrive, batch, offset, batch.gen)

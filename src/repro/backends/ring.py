@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.config import RouterConfig
-from ..network.topology import Coord, build_topology
+from ..network.topology import Coord
 from .base import RouterBackend
 from .graphnet import FairShareNetwork, GraphConnection
 
@@ -54,11 +54,7 @@ class RingBackend(RouterBackend):
 
     def build_network(self, spec, config: Optional[RouterConfig] = None,
                       obs=None) -> FairShareNetwork:
-        config = config or RouterConfig()
-        topology = build_topology(spec.topology, spec.cols, spec.rows,
-                                  link_length_mm=config.link_length_mm,
-                                  link_stages=config.link_stages)
-        net = FairShareNetwork(topology, config=config)
+        net = FairShareNetwork(spec.make_topology(config), config=config)
         net.attach_observability(obs)
         return net
 

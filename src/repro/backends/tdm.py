@@ -45,9 +45,9 @@ from ..baselines.tdm_router import TdmConnection, TdmPathAllocator
 from ..core.config import RouterConfig
 from ..network.connection import AdmissionError
 from ..network.packet import BePacket
-from ..network.topology import Coord, Direction
+from ..network.topology import Coord, Direction, Topology
 from .base import RouterBackend
-from .graphnet import BaseMeshNetwork, MeshAdapter, MeshConnection
+from .graphnet import BaseGraphNetwork, GraphAdapter, GraphConnection
 
 __all__ = ["TdmFlit", "TdmLink", "TdmNetwork", "TdmBackend",
            "DEFAULT_TABLE_SIZE"]
@@ -160,13 +160,13 @@ class TdmLink:
         self._schedule()
 
 
-class TdmNetwork(BaseMeshNetwork):
-    """A cols x rows mesh of slot-table links (ÆTHEREAL-style)."""
+class TdmNetwork(BaseGraphNetwork):
+    """A mesh of slot-table links (ÆTHEREAL-style)."""
 
-    def __init__(self, cols: int, rows: int,
+    def __init__(self, topology: Topology,
                  config: Optional[RouterConfig] = None,
                  table_size: int = DEFAULT_TABLE_SIZE):
-        super().__init__(cols, rows, config=config)
+        super().__init__(topology, config=config)
         self.table_size = table_size
         #: One slot is one link cycle, so raw per-link bandwidth matches
         #: the MANGO configuration being compared against.
@@ -185,11 +185,11 @@ class TdmNetwork(BaseMeshNetwork):
 
     # -- GS allocation -----------------------------------------------------
 
-    def allocate_connection(self, src: Coord, dst: Coord) -> MeshConnection:
+    def allocate_connection(self, src: Coord, dst: Coord) -> GraphConnection:
         """Reserve an aligned slot train along the XY path (admission
         control: a request that cannot be aligned is *rejected*, the TDM
         counterpart of MANGO running out of free VCs)."""
-        conn = MeshConnection(self, 0, src, dst)  # probe for the path
+        conn = GraphConnection(self, 0, src, dst)  # probe for the path
         path = [self._link_index[key] for key in conn.path_links()]
         reserved: Optional[TdmConnection] = self.allocator.allocate(
             path, n_slots=1)
@@ -203,7 +203,7 @@ class TdmNetwork(BaseMeshNetwork):
 
     # -- transport ---------------------------------------------------------
 
-    def _inject_gs(self, conn: MeshConnection, payload: int,
+    def _inject_gs(self, conn: GraphConnection, payload: int,
                    last: bool) -> None:
         flit = TdmFlit(payload=payload, dst=conn.dst, kind="gs",
                        inject_time=self.sim.now,
@@ -212,7 +212,7 @@ class TdmNetwork(BaseMeshNetwork):
         self.adapters[conn.src].local_link.gs_flits += 1
         self.tdm_links[(conn.src, conn.moves[0])].enqueue(flit)
 
-    def _inject_be(self, adapter: MeshAdapter, dst: Coord,
+    def _inject_be(self, adapter: GraphAdapter, dst: Coord,
                    packet: BePacket) -> Generator:
         """BE packets carry a header word (routing information is not
         stored in TDM routers — paper Section 6), then the payload, one
@@ -258,13 +258,13 @@ class TdmBackend(RouterBackend):
 
     def build_network(self, spec, config: Optional[RouterConfig] = None,
                       obs=None) -> TdmNetwork:
-        net = TdmNetwork(spec.cols, spec.rows, config=config,
+        net = TdmNetwork(spec.make_topology(config), config=config,
                          table_size=self.table_size)
         net.attach_observability(obs)
         return net
 
     def open_connection(self, network: TdmNetwork, src: Coord,
-                        dst: Coord) -> MeshConnection:
+                        dst: Coord) -> GraphConnection:
         return network.allocate_connection(src, dst)
 
     def latency_bound_ns(self, hops: int,

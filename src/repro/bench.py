@@ -14,7 +14,7 @@ Schema (``docs/benchmarks.md`` documents every field)::
 
     {"schema": "repro-bench/1",
      "recorded_at": "...", "host": {...}, "code_fingerprint": "...",
-     "run": {"smoke": ..., "mode": ..., "jobs": ..., ...},
+     "run": {"smoke": ..., "jobs": ..., ...},
      "cells": {"<cell id>": {"status": "ok", "verdict": "PASS",
                "wall_s": ..., "concurrency": ..., "events": ...,
                "events_per_s": ..., "flit_hops": ..., "sim_ns": ...,

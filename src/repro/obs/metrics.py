@@ -193,11 +193,8 @@ def _instrument_links(registry: MetricsRegistry, network) -> None:
 
 
 def _instrument_fair_share(registry: MetricsRegistry, network) -> None:
-    """Fair-share graph fabrics: queue-depth gauges per transport link
-    plus the hop-batching condensation counters."""
-    registry.add_counter("fabric.batches", lambda n=network: n.batches)
-    registry.add_counter("fabric.batched_hops",
-                         lambda n=network: n.batched_hops)
+    """Fair-share graph fabrics: queue-depth gauges per transport
+    link."""
     for key in sorted(network.fair_links,
                       key=lambda k: (k[0].x, k[0].y,
                                      getattr(k[1], "name", str(k[1])))):

@@ -15,9 +15,8 @@ The JSON written by :meth:`ChromeTraceSink.to_json` loads in
 becomes one named track) and is **byte-deterministic**: events are
 sorted by a total key and timestamps are rounded to femtosecond
 granularity, so the export is identical across ``run`` vs ``run_batch``
-driving and hop batching on/off (condensed hops
-re-expand to the exact cycle boundaries an unbatched run fires at,
-differing only by float ulps, which the rounding absorbs).
+driving and repeated runs (float-ulp drift in event times is absorbed by
+the rounding).
 
 The module also provides :func:`render_timeline` (the terminal view of a
 tracer's ring) and :func:`validate_chrome_trace` (the schema check the
@@ -39,8 +38,8 @@ _NS_TO_US = 1e-3
 
 #: Rounding applied to ``ts``/``dur`` (decimal digits of a microsecond):
 #: 1e-9 us = 1 femtosecond.  Far below the simulation's time scale, far
-#: above float-arithmetic ulp drift between batched and unbatched hop
-#: delivery — the knob that makes the export byte-deterministic.
+#: above float-arithmetic ulp drift in event times — the knob that makes
+#: the export byte-deterministic.
 _TS_DIGITS = 9
 
 #: Record kinds exported as duration events when they carry ``dur_ns``.
@@ -107,8 +106,8 @@ class ChromeTraceSink:
             events.append({"ph": "M", "name": "thread_name", "pid": 0,
                            "tid": tid, "args": {"name": source}})
         # Total order: time, then track, then a canonical serialization
-        # as the final tiebreaker — emission order (which hop batching
-        # and run_batch slicing may permute) never leaks into the bytes.
+        # as the final tiebreaker — emission order (which run_batch
+        # slicing may permute) never leaks into the bytes.
         for ts, source, name, ph, dur, args in sorted(
                 self._events,
                 key=lambda ev: (ev[0], ev[1], ev[2], ev[3],

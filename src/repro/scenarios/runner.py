@@ -228,7 +228,6 @@ class ScenarioResult:
     backend: str
     allocator: str
     topology: str
-    mode: str
     retain_packets: bool
     sim_ns: float
     wall_s: float
@@ -316,7 +315,6 @@ class ScenarioResult:
             "backend": self.backend,
             "allocator": self.allocator,
             "topology": self.topology,
-            "mode": self.mode,
             "retain_packets": self.retain_packets,
             "sim_ns": self.sim_ns,
             "wall_s": self.wall_s,
@@ -478,18 +476,10 @@ class ScenarioRunner:
 
     # -- driving -----------------------------------------------------------
 
-    def run(self, mode: str = "event",
-            batch_events: int = 8192) -> ScenarioResult:
-        """Build (if needed) and drive the scenario to completion.
-
-        ``mode="event"`` waits on an ``AllOf`` over the source processes
-        (the fast default); ``mode="batch"`` pumps ``run_batch`` slices
-        of ``batch_events`` kernel events, the API callers use to
-        interleave host-side work.  Both must produce the same flit-hop
-        fingerprint — asserted by tests/scenarios/test_fingerprints.py.
-        """
-        if mode not in ("event", "batch"):
-            raise ValueError(f"unknown drive mode {mode!r}")
+    def run(self) -> ScenarioResult:
+        """Build (if needed) and drive the scenario to completion: wait
+        on an ``AllOf`` over the source processes, then drain for the
+        spec's ``drain_ns``."""
         if self.network is None:
             self.build()
         net = self.network
@@ -506,31 +496,15 @@ class ScenarioRunner:
         try:
             if processes:
                 done = net.sim.all_of(processes)
-                if mode == "event":
-                    if not net.sim.run_until_triggered(done,
-                                                       max_ns=spec.max_ns):
-                        raise RuntimeError(
-                            f"scenario {spec.name!r} did not finish within "
-                            f"{spec.max_ns} ns (deadlock or overload)")
-                else:
-                    while not done.triggered:
-                        if net.run_batch(max_events=batch_events) == 0:
-                            raise RuntimeError(
-                                f"scenario {spec.name!r}: event heap "
-                                "drained before the sources finished")
-                        if net.now > spec.max_ns:
-                            raise RuntimeError(
-                                f"scenario {spec.name!r} did not finish "
-                                f"within {spec.max_ns} ns")
+                if not net.sim.run_until_triggered(done, max_ns=spec.max_ns):
+                    raise RuntimeError(
+                        f"scenario {spec.name!r} did not finish within "
+                        f"{spec.max_ns} ns (deadlock or overload)")
                 net.run(until=net.now + spec.drain_ns)
             else:
                 # Preload-only scenarios have no driving processes: the
                 # heap drains by itself once all flits are delivered.
-                if mode == "event":
-                    net.sim.run()
-                else:
-                    while net.run_batch(max_events=batch_events):
-                        pass
+                net.sim.run()
         except Exception as error:
             if self._expected_error is not None and \
                     isinstance(error, self._expected_error):
@@ -539,7 +513,7 @@ class ScenarioRunner:
                 raise
         wall_s = time.perf_counter() - start
         events = net.sim.events_processed - events_before
-        return self._result(mode, events, wall_s, failure_detected)
+        return self._result(events, wall_s, failure_detected)
 
     # -- measurement -------------------------------------------------------
 
@@ -587,7 +561,7 @@ class ScenarioRunner:
             ))
         return verdicts
 
-    def _result(self, mode: str, events: int, wall_s: float,
+    def _result(self, events: int, wall_s: float,
                 failure_detected: bool) -> ScenarioResult:
         net = self.network
         spec = self.spec
@@ -611,7 +585,6 @@ class ScenarioRunner:
             backend=self.backend.name,
             allocator=self._allocator_name(),
             topology=spec.topology,
-            mode=mode,
             retain_packets=self.retain_packets,
             sim_ns=sim_ns,
             wall_s=wall_s,

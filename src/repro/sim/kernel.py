@@ -31,11 +31,10 @@ Hot-path design notes (the kernel dominates large-mesh runtime):
   and :meth:`Simulator.run_until_triggered` are thin wrappers over it (via
   :meth:`Simulator.run_batch`), never separate stepping paths.
 * ``events_processed`` counts *logical* events dispatched: heap entries,
-  synchronous :func:`fire` deliveries, inline consumptions of
-  already-processed events, and wire hops condensed away by link-segment
-  batching (``repro.backends.graphnet``).  It measures kernel traffic,
-  not simulated work: moving a stage from a generator to callbacks
-  lowers it without changing a single flit hop.
+  synchronous :func:`fire` deliveries and inline consumptions of
+  already-processed events; only this module writes it.  It measures
+  kernel traffic, not simulated work: moving a stage from a generator to
+  callbacks lowers it without changing a single flit hop.
 """
 
 from __future__ import annotations
@@ -472,9 +471,9 @@ class Simulator:
         self._seq = 0
         self._now = 0.0
         #: Logical events dispatched so far: heap entries, fire()
-        #: deliveries, inline consumptions of already-processed events,
-        #: and hops condensed by link-segment batching (see the module
-        #: docstring); benchmarks report events per wall-clock second.
+        #: deliveries and inline consumptions of already-processed
+        #: events (see the module docstring); benchmarks report events
+        #: per wall-clock second.
         self.events_processed = 0
         if profile is True:
             # Deliberate upward seam (like network/connection.py -> alloc):

@@ -5,8 +5,8 @@ Three layers of guarantees:
 * **registry** — the four paper backends are registered and reachable
   from the top-level package;
 * **determinism** — each backend reproduces its golden flit-hop
-  fingerprint bit-identically across ``run`` vs ``run_batch`` driving
-  and retained-vs-streaming collectors (the same contract the MANGO
+  fingerprint bit-identically with or without ``run_batch`` slicing
+  and across retained-vs-streaming collectors (the same contract the MANGO
   goldens have);
 * **the Section 4.1 verdict** — the same saturation cell passes its GS
   contract on ``mango`` and measurably violates it on ``generic-vc``:
@@ -21,7 +21,7 @@ from repro.backends import (BackendCapabilityError, RouterBackend,
                             TdmBackend, TdmNetwork)
 from repro.core.config import RouterConfig
 from repro.network.connection import AdmissionError
-from repro.network.topology import Coord
+from repro.network.topology import Coord, Mesh
 from repro.scenarios import ScenarioRunner, get
 from repro.scenarios.golden import (BACKEND_SMOKE_FINGERPRINTS,
                                     SMOKE_FINGERPRINTS)
@@ -35,8 +35,8 @@ CONFORMANCE_CELLS = ("be-uniform-4x4", "gs-cbr-4x4-uniform")
 SATURATION_CELL = "gs-under-saturation-hotspot-8x8"
 
 
-def _run(name, backend, **kwargs):
-    return ScenarioRunner(get(name).smoke(), backend=backend).run(**kwargs)
+def _run(name, backend):
+    return ScenarioRunner(get(name).smoke(), backend=backend).run()
 
 
 class TestRegistry:
@@ -80,10 +80,11 @@ class TestGoldenFingerprints:
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_SMOKE_FINGERPRINTS))
     @pytest.mark.parametrize("name", CONFORMANCE_CELLS)
-    def test_batch_drive_matches_golden(self, backend, name):
+    def test_batch_drive_matches_golden(self, backend, name, run_sliced):
         """Awkward prime-sized run_batch slices must dispatch exactly
         the same work on every backend, not just on MANGO."""
-        result = _run(name, backend, mode="batch", batch_events=977)
+        result = run_sliced(ScenarioRunner(get(name).smoke(),
+                                           backend=backend))
         assert result.fingerprint == \
             BACKEND_SMOKE_FINGERPRINTS[backend][name]
 
@@ -154,7 +155,7 @@ class TestBackendSemantics:
         admission control), never silently degraded."""
         spec = get("gs-cbr-4x4-uniform").smoke()
         backend = TdmBackend(table_size=1)
-        net = TdmNetwork(4, 4, table_size=1)
+        net = TdmNetwork(Mesh(4, 4), table_size=1)
         backend.open_connection(net, Coord(0, 0), Coord(3, 0))
         with pytest.raises(AdmissionError, match="slot"):
             backend.open_connection(net, Coord(0, 0), Coord(2, 0))
@@ -166,7 +167,7 @@ class TestBackendSemantics:
         link must re-arm — otherwise A idles through its slot and waits
         a whole extra revolution, breaking the bound TDM is scored
         against."""
-        net = TdmNetwork(2, 1, table_size=8)
+        net = TdmNetwork(Mesh(2, 1), table_size=8)
         backend = TdmBackend()
         a = backend.open_connection(net, Coord(0, 0), Coord(1, 0))
         b = backend.open_connection(net, Coord(0, 0), Coord(1, 0))

@@ -1,8 +1,8 @@
 """The ring and routerless fabric backends.
 
 The fabric cells are first-class matrix citizens: resolved from their
-spec's topology with no ``--backend`` flag, deterministic across drive
-modes (golden-pinned like every other cell), scored against their own
+spec's topology with no ``--backend`` flag, deterministic under
+``run_batch`` slicing (golden-pinned like every other cell), scored against their own
 architectural bound (the fair-share loop contract — not the mesh VC
 contract), and capability-gated both ways: a mesh backend refuses a
 fabric cell and a fabric backend refuses a mesh cell, loudly.
@@ -56,9 +56,19 @@ class TestFabricCells:
         assert result.backend in ("ring", "routerless")
 
     @pytest.mark.parametrize("name", FABRIC_CELLS)
-    def test_batch_drive_matches_golden(self, name):
-        result = ScenarioRunner(get(name).smoke()).run(mode="batch")
+    def test_batch_drive_matches_golden(self, name, run_sliced):
+        result = run_sliced(ScenarioRunner(get(name).smoke()))
         assert result.fingerprint == SMOKE_FINGERPRINTS[name]
+
+    def test_links_drain_idle_after_full_duration(self):
+        """Once a loaded full-duration run drains, every fair-share link
+        is back to rest: no queued GS or BE flit, no armed departure."""
+        runner = ScenarioRunner(get("ring-cbr-8x8"))
+        assert runner.run().passed
+        for link in runner.network.fair_links.values():
+            assert not link.be_queue, link.key
+            assert not any(link.gs_queues.values()), link.key
+            assert link._armed_cycle is None, link.key
 
     def test_verdicts_use_the_loop_bound(self):
         """GS verdicts price the fabric's own contract over the route's

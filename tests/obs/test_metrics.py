@@ -6,8 +6,8 @@ from repro.obs import MetricsRegistry, MetricsSnapshot, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 
 
-def _run(name, obs=None, mode="event"):
-    return ScenarioRunner(get(name).smoke(), obs=obs).run(mode=mode)
+def _run(name, obs=None):
+    return ScenarioRunner(get(name).smoke(), obs=obs).run()
 
 
 class TestSnapshot:
@@ -63,10 +63,10 @@ class TestNonPerturbation:
             assert on.events == off.events, cell
             assert on.flit_hops == off.flit_hops, cell
 
-    def test_fingerprint_identical_in_batch_mode(self):
-        off = _run("be-uniform-4x4", mode="batch")
-        on = _run("be-uniform-4x4", obs=ObsConfig(metrics=True),
-                  mode="batch")
+    def test_fingerprint_identical_in_batch_mode(self, run_sliced):
+        spec = get("be-uniform-4x4").smoke()
+        off = run_sliced(ScenarioRunner(spec))
+        on = run_sliced(ScenarioRunner(spec, obs=ObsConfig(metrics=True)))
         assert on.fingerprint == off.fingerprint
 
 

@@ -1,10 +1,9 @@
 """Trace exports are byte-deterministic across every equivalent drive.
 
 The Chrome export's contract (``repro.obs.trace``): the same scenario
-produces the *same bytes* no matter how the kernel was driven —
-``run`` vs ``run_batch``, link-segment hop batching on or off, and
-across repeated runs in one process (trace tags are run-relative, never
-process-global ids).  Any drift here means
+produces the *same bytes* whether or not the kernel was pumped in
+``run_batch`` slices, and across repeated runs in one process (trace
+tags are run-relative, never process-global ids).  Any drift here means
 emission order or float arithmetic leaked into the artifact.
 """
 
@@ -14,16 +13,15 @@ from repro.obs import ChromeTraceSink, ObsConfig
 from repro.scenarios import ScenarioRunner, get
 from repro.sim.tracing import Tracer
 
-#: One mango mesh cell, one graph-fabric cell (the hop-batching path
-#: lives in the fabrics).
+#: One mango mesh cell, one fair-share graph-fabric cell.
 CELLS = ("be-uniform-4x4", "ring-cbr-8x8")
 
 
-def _export(name, mode="event"):
+def _export(name, drive=ScenarioRunner.run):
     sink = ChromeTraceSink()
     tracer = Tracer(enabled=True, sink=sink)
-    result = ScenarioRunner(get(name).smoke(),
-                            obs=ObsConfig(tracer=tracer)).run(mode=mode)
+    result = drive(ScenarioRunner(get(name).smoke(),
+                                  obs=ObsConfig(tracer=tracer)))
     assert result.passed, result.failures()
     return sink.to_json(), result.fingerprint
 
@@ -36,18 +34,7 @@ def test_rerun_in_one_process(cell):
 
 
 @pytest.mark.parametrize("cell", CELLS)
-def test_event_vs_batch_drive(cell):
-    event = _export(cell, mode="event")
-    batch = _export(cell, mode="batch")
+def test_event_vs_batch_drive(cell, run_sliced):
+    event = _export(cell)
+    batch = _export(cell, drive=run_sliced)
     assert event == batch
-
-
-def test_hop_batching_on_off(monkeypatch):
-    # Mango is excluded from batching; the ring fabric actually
-    # condenses uncontended segments — batched hops must re-expand to
-    # the exact unbatched cycle boundaries in the export.
-    monkeypatch.setenv("REPRO_HOP_BATCHING", "0")
-    off = _export("ring-cbr-8x8")
-    monkeypatch.setenv("REPRO_HOP_BATCHING", "1")
-    on = _export("ring-cbr-8x8")
-    assert off == on

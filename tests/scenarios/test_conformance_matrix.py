@@ -55,15 +55,16 @@ class TestMatrixShape:
 
 
 class TestRunnerEdges:
-    def test_preload_only_scenario_runs_in_both_modes(self):
+    def test_preload_only_scenario_runs_in_both_modes(self, run_sliced):
         """No driving processes at all: the heap must drain cleanly
-        under either drive style and produce matching fingerprints."""
+        whether or not it is pumped in run_batch slices first, and
+        produce matching fingerprints."""
         from repro.scenarios import GsConnectionSpec, ScenarioSpec
         spec = ScenarioSpec(
             name="preload-only", cols=3, rows=2,
             gs=(GsConnectionSpec(src=(0, 0), dst=(2, 1), flits=12),))
-        event = ScenarioRunner(spec).run(mode="event")
-        batch = ScenarioRunner(spec).run(mode="batch", batch_events=13)
+        event = ScenarioRunner(spec).run()
+        batch = run_sliced(ScenarioRunner(spec), max_events=13)
         assert event.passed and batch.passed
         assert event.gs[0].delivered == 12
         assert event.fingerprint == batch.fingerprint

@@ -2,10 +2,10 @@
 
 The flit-hop fingerprint digests pure-integer link/sink state, so it is
 machine-independent: every registry scenario must reproduce its recorded
-golden bit-identically whichever way the kernel is driven (``run`` via
-an AllOf trigger vs ``run_batch`` slices) and whether collectors retain
-packets or stream (P²/Welford) — drive style and measurement mode must
-never change the simulated work.
+golden bit-identically whether the kernel is pumped in ``run_batch``
+slices before ``run()`` finishes the scenario, and whether collectors
+retain packets or stream (P²/Welford) — drive style and measurement
+mode must never change the simulated work.
 """
 
 import dataclasses
@@ -19,11 +19,10 @@ from scenario_params import matrix_params
 
 
 @pytest.mark.parametrize("name", matrix_params())
-def test_batch_drive_matches_golden(name):
+def test_batch_drive_matches_golden(name, run_sliced):
     """run_batch slices (awkward 977-event batches, deliberately prime)
     must dispatch the exact same work as the AllOf-triggered run."""
-    spec = get(name).smoke()
-    result = ScenarioRunner(spec).run(mode="batch", batch_events=977)
+    result = run_sliced(ScenarioRunner(get(name).smoke()))
     assert result.fingerprint == SMOKE_FINGERPRINTS[name]
 
 

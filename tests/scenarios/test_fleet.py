@@ -91,7 +91,6 @@ class TestCellIdentity:
                               allocator="min-adaptive"),
                     FleetCell(name="be-uniform-4x4", topology="ring"),
                     FleetCell(name="be-uniform-4x4", smoke=False),
-                    FleetCell(name="be-uniform-4x4", mode="batch"),
                     FleetCell(name="gs-cbr-4x4-uniform")]
         keys = {cache_key(cell, code) for cell in [base] + variants}
         assert len(keys) == len(variants) + 1
