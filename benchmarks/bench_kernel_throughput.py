@@ -14,16 +14,24 @@ run-phase (construction excluded) rates:
 * flit-hops/sec — physical link traversals per second, a
   kernel-version-independent measure of simulated work.
 
-Wall-clock rates swing with the host, so the gate is an exact work
-counter instead: ``test_calls_per_hop_ceiling`` profiles the run phase
-of ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` (the MANGO
-router stages) and ``routerless-cbr-8x8`` (the fair-share fabric
-transport in ``backends/graphnet.py``) with cProfile and asserts the
-Python calls per flit hop stay within ``CEILING_SLACK`` of the values
-in ``CALLS_PER_HOP`` (the count is identical from run to run).  An
-extra call per hop anywhere on the path turns it red; a real speedup
-lowers the count, after which the constants are re-recorded from the
-new code.
+Wall-clock rates swing with the host, so the gates are exact work
+counters instead (cProfile call counts are identical from run to run):
+
+* ``test_calls_per_hop_ceiling`` profiles the run phase of
+  ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` (the MANGO
+  router stages) and ``routerless-cbr-8x8`` (the fair-share fabric
+  transport in ``backends/graphnet.py``) and asserts the Python calls
+  per flit hop stay within ``CEILING_SLACK`` of ``CALLS_PER_HOP``;
+* ``test_build_work_ceiling`` profiles the build phase (network,
+  connections, sources) of ``gs-cbr-16x16-corners`` and
+  ``gs-under-saturation-8x8`` and asserts the Python calls and the
+  ``Simulator.process`` calls per router stay within ``CEILING_SLACK``
+  of ``BUILD_WORK`` — construction builds only what the traffic
+  touches, so a stage built eagerly again turns it red.
+
+An extra call per hop (or per router) anywhere turns a gate red; a real
+speedup lowers the count, after which the constants are re-recorded
+from the new code.
 
 The absolute rates are machine-dependent; the flit-hop counts are not
 (asserted below, stable since the scenarios were hand-rolled here — the
@@ -35,6 +43,7 @@ import pstats
 
 from repro.analysis.report import Table
 from repro.scenarios import ScenarioRunner, get
+from repro.sim.kernel import Simulator
 
 from .common import record, run_once, run_scenario
 
@@ -48,12 +57,20 @@ SCENARIOS = (("corner-streams-6x6", 18_484),
 #: the callback-driven router stages and the per-hop fair-share
 #: transport, with the cell's flit hops.
 CALLS_PER_HOP = {
-    "corner-streams-8x8": (80.61, 29_396),
-    "gs-under-saturation-8x8": (75.37, 56_565),
-    "routerless-cbr-8x8": (29.74, 42_936),
+    "corner-streams-8x8": (80.05, 29_396),
+    "gs-under-saturation-8x8": (75.08, 56_565),
+    "routerless-cbr-8x8": (29.44, 42_936),
 }
 
-#: Red above this multiple of the recorded calls per hop.
+#: Build-phase Python calls and ``Simulator.process`` calls per router
+#: at full duration, recorded from the on-demand VC slots and bind-time
+#: NA processes, with the cell's flit hops.
+BUILD_WORK = {
+    "gs-cbr-16x16-corners": (506.59, 4.023, 10_659),
+    "gs-under-saturation-8x8": (498.78, 4.094, 56_565),
+}
+
+#: Red above this multiple of a recorded work count.
 CEILING_SLACK = 1.02
 
 
@@ -127,3 +144,52 @@ def test_calls_per_hop_ceiling(benchmark):
         assert per_hop <= recorded * CEILING_SLACK, (
             f"{name}: {per_hop:.2f} calls per flit hop exceeds "
             f"{CEILING_SLACK}x the recorded {recorded}")
+
+
+def profiled_build(name: str):
+    """Build-phase calls and processes per router of one full-duration
+    cell, after an unprofiled warm-up build; the profiled build is then
+    run unprofiled for its flit hops."""
+    ScenarioRunner(get(name)).build()
+    profile = cProfile.Profile()
+    profile.enable()
+    runner = ScenarioRunner(get(name))
+    runner.build()
+    profile.disable()
+    stats = pstats.Stats(profile)
+    code = Simulator.process.__code__
+    entry = stats.stats.get((code.co_filename, code.co_firstlineno,
+                             code.co_name))
+    routers = runner.spec.cols * runner.spec.rows
+    result = runner.run()
+    return (stats.total_calls / routers,
+            (entry[1] if entry else 0) / routers, result)
+
+
+def run_build_ceiling():
+    table = Table(["scenario", "flit hops", "calls/router", "recorded",
+                   "processes/router", "recorded"],
+                  title="Build-phase work per router (cProfile)")
+    measured = {}
+    for name, (calls, procs, _hops) in BUILD_WORK.items():
+        per_router, procs_per_router, result = profiled_build(name)
+        measured[name] = (per_router, procs_per_router, result)
+        table.add_row(name, result.flit_hops, round(per_router, 2), calls,
+                      round(procs_per_router, 3), procs)
+    return measured, table
+
+
+def test_build_work_ceiling(benchmark):
+    measured, table = run_once(benchmark, run_build_ceiling)
+    record("K1c", "build-phase work per router", table.render())
+
+    for name, (per_router, procs_per_router, result) in measured.items():
+        calls, procs, hops = BUILD_WORK[name]
+        assert result.passed, f"{name}: {result.failures()}"
+        assert result.flit_hops == hops, name
+        assert per_router <= calls * CEILING_SLACK, (
+            f"{name}: {per_router:.2f} build calls per router exceeds "
+            f"{CEILING_SLACK}x the recorded {calls}")
+        assert procs_per_router <= procs * CEILING_SLACK, (
+            f"{name}: {procs_per_router:.3f} processes per router "
+            f"exceeds {CEILING_SLACK}x the recorded {procs}")

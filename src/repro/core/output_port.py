@@ -29,6 +29,7 @@ __all__ = [
     "ShareFlow",
     "CreditFlow",
     "VcSlot",
+    "VcSlots",
     "NetworkOutputPort",
     "LocalOutputPort",
     "BeTxChannel",
@@ -218,6 +219,34 @@ class VcSlot:
         return len(self.buffer) + len(self.unsharebox.latch)
 
 
+class VcSlots:
+    """A port's VC slots, indexable by VC; a slot is built on first access.
+
+    A VC buffer carries GS flits only while a connection reserves it, so
+    a slot no connection ever uses is never built.  ``built`` is the raw
+    per-VC list, ``None`` where no slot exists yet: the GS switch indexes
+    it directly and falls back to ``slots[vc]`` on a miss, and readers
+    that must not build (occupancy, metrics probes) read it alone.
+    Building a slot schedules no event, so when it happens cannot move
+    the simulation.
+    """
+
+    __slots__ = ("built", "_build")
+
+    def __init__(self, count: int, build: Callable[[int], VcSlot]):
+        self.built: List[Optional[VcSlot]] = [None] * count
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self.built)
+
+    def __getitem__(self, vc: int) -> VcSlot:
+        slot = self.built[vc]
+        if slot is None:
+            slot = self.built[vc] = self._build(vc)
+        return slot
+
+
 class BeTxChannel:
     """BE side of a network output port: queue + credit counter.
 
@@ -292,7 +321,8 @@ class NetworkOutputPort:
 
     The port is created unattached; :meth:`attach_link` wires it to the
     physical link and starts the senders (the arbiter cycle time depends
-    on the link's pipelining).
+    on the link's pipelining).  A VC slot built later starts its sender
+    as it is built.
     """
 
     def __init__(self, sim: Simulator, router, direction: Direction,
@@ -302,18 +332,24 @@ class NetworkOutputPort:
         self.config: RouterConfig = router.config
         self.direction = direction
         self.name = name
-        self.slots: List[VcSlot] = [
-            VcSlot(sim, self.config, direction, vc,
-                   on_departed=self._departure_hook(vc),
-                   name=f"{name}.vc{vc}")
-            for vc in range(self.config.vcs_per_port)
-        ]
+        self.slots = VcSlots(self.config.vcs_per_port, self._build_slot)
         self.be_tx: List[BeTxChannel] = [
             BeTxChannel(sim, self.config, vc, name=f"{name}.be{vc}")
             for vc in range(self.config.be_channels)
         ]
         self.link = None
         self.arbiter: Optional[LinkArbiter] = None
+
+    def slot_name(self, vc: int) -> str:
+        return f"{self.name}.vc{vc}"
+
+    def _build_slot(self, vc: int) -> VcSlot:
+        slot = VcSlot(self.sim, self.config, self.direction, vc,
+                      on_departed=self._departure_hook(vc),
+                      name=self.slot_name(vc))
+        if self.link is not None:
+            slot.start_sender(self)
+        return slot
 
     def _departure_hook(self, vc: int) -> Callable[[], None]:
         def hook():
@@ -338,14 +374,16 @@ class NetworkOutputPort:
         self._bump = self.router.counters.bump
         self._transmit_gs = link.transmit_gs
         self._transmit_be = link.transmit_be
-        for slot in self.slots:
-            slot.start_sender(self)
+        for slot in self.slots.built:
+            if slot is not None:
+                slot.start_sender(self)
         for chan in self.be_tx:
             chan.start_sender(self)
 
     def sharebox_release(self, vc: int) -> None:
-        """Unlock/credit return arriving over the link's reverse wires."""
-        self.slots[vc].flow.release()
+        """Unlock/credit return arriving over the link's reverse wires
+        (to a built slot: a flit has left through it)."""
+        self.slots.built[vc].flow.release()
 
     def be_credit_return(self, vc: int) -> None:
         self.be_tx[vc].credit_return()
@@ -356,7 +394,8 @@ class LocalOutputPort:
 
     No arbitration — each of the (up to four) GS interfaces is its own
     physical channel; the NA consumes from the slot buffer at its own
-    (clocked) pace, which backpressures the connection end to end.
+    (clocked) pace, which backpressures the connection end to end.  The
+    NA builds an interface's slot when it first binds a receiver to it.
     """
 
     def __init__(self, sim: Simulator, router, name: str):
@@ -365,19 +404,18 @@ class LocalOutputPort:
         self.config: RouterConfig = router.config
         self.direction = Direction.LOCAL
         self.name = name
-        self.slots: List[VcSlot] = [
-            VcSlot(sim, self.config, Direction.LOCAL, iface,
-                   on_departed=self._departure_hook(iface),
-                   name=f"{name}.if{iface}")
-            for iface in range(self.config.local_gs_interfaces)
-        ]
+        self.slots = VcSlots(self.config.local_gs_interfaces,
+                             self._build_slot)
+
+    def slot_name(self, iface: int) -> str:
+        return f"{self.name}.if{iface}"
+
+    def _build_slot(self, iface: int) -> VcSlot:
+        return VcSlot(self.sim, self.config, Direction.LOCAL, iface,
+                      on_departed=self._departure_hook(iface),
+                      name=self.slot_name(iface))
 
     def _departure_hook(self, iface: int) -> Callable[[], None]:
         def hook():
             self.router.vc_control.departed(Direction.LOCAL, iface)
         return hook
-
-    def take(self, iface: int) -> Event:
-        """Event yielding the next delivered flit on an interface (used by
-        the network adapter)."""
-        return self.slots[iface].buffer.get()

@@ -57,6 +57,10 @@ class MangoRouter:
         }
         self.local_output = LocalOutputPort(sim, self,
                                             name=f"{self.name}.LOCAL")
+        # Every output's VC slots by port, LOCAL included, for the switch.
+        self._vc_slots = {direction: port.slots
+                          for direction, port in self.output_ports.items()}
+        self._vc_slots[Direction.LOCAL] = self.local_output.slots
         self.be_router = BeRouter(sim, self, name=f"{self.name}.be")
 
         # Links delivering INTO this router, keyed by this router's input
@@ -94,10 +98,10 @@ class MangoRouter:
         reserved VC buffer's unsharebox."""
         out_port, out_vc = self.switching.route(in_dir, steering)
         self.counters.bump("gs_flits_switched")
-        if out_port is Direction.LOCAL:
-            slot = self.local_output.slots[out_vc]
-        else:
-            slot = self.output_ports[out_port].slots[out_vc]
+        slots = self._vc_slots[out_port]
+        slot = slots.built[out_vc]
+        if slot is None:
+            slot = slots[out_vc]
         slot.accept(flit)
         if self.tracer.enabled:
             # Run-relative tag (connection id + payload), never the
@@ -195,12 +199,10 @@ class MangoRouter:
     # -- introspection ---------------------------------------------------------
 
     def gs_occupancy(self) -> int:
-        """Total flits currently buffered in GS VC slots."""
-        total = 0
-        for port in self.output_ports.values():
-            total += sum(slot.occupancy for slot in port.slots)
-        total += sum(slot.occupancy for slot in self.local_output.slots)
-        return total
+        """Total flits currently buffered in GS VC slots (a slot never
+        built holds none)."""
+        return sum(slot.occupancy for slots in self._vc_slots.values()
+                   for slot in slots.built if slot is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MangoRouter {self.name} conns={len(self.table)}>"

@@ -17,7 +17,7 @@ from ..core.output_port import ShareFlow
 from ..network.packet import BeFlit, BePacket, GsFlit, Steering, make_be_packet
 from ..network.routing import route_words_for
 from ..network.topology import Coord, Direction
-from ..sim.kernel import Simulator
+from ..sim.kernel import Process, Simulator
 from ..sim.resources import Store
 
 __all__ = ["ClockDomain", "GsTxEndpoint", "NetworkAdapter"]
@@ -70,6 +70,8 @@ class GsTxEndpoint:
         self.steering: Optional[Steering] = None
         self.connection_id: Optional[int] = None
         self.flits_injected = 0
+        # The transmit process, started at the first bind.
+        self.process: Optional[Process] = None
 
     @property
     def bound(self) -> bool:
@@ -93,19 +95,20 @@ class NetworkAdapter:
             for i in range(config.local_gs_interfaces)
         ]
         self._rx_bound: Dict[int, Callable] = {}
+        # Receive processes by interface, started at the first bind.
+        self.rx_processes: Dict[int, Process] = {}
         self.be_inbox: Store = Store(sim, name=f"{self.name}.be_inbox")
         self._ack_handlers: List[Callable[[int], None]] = []
         self._packet_handlers: List[Callable[[BePacket], Optional[bool]]] = []
         self.be_packets_sent = 0
         self.be_packets_received = 0
         self.dropped_rx_flits = 0
+        self.dropped_tx_flits = 0
         local_link.attach_adapter(self)
-        # Endpoint processes are persistent; bind/unbind only swaps the
-        # routing state, so teardown never leaves stale waiters on stores.
-        for endpoint in self.tx_endpoints:
-            sim.process(self._tx_run(endpoint), name=f"{endpoint.name}.run")
-        for iface in range(config.local_gs_interfaces):
-            sim.process(self._rx_run(iface), name=f"{self.name}.rx{iface}")
+        # An interface's tx and rx processes start at its first bind and
+        # then persist: unbind/rebind only swaps the routing state, so
+        # teardown never leaves stale waiters on stores, and an interface
+        # never bound owns no process.
         sim.process(self._be_dispatch(), name=f"{self.name}.be_dispatch")
 
     # -- GS transmit -----------------------------------------------------------
@@ -119,6 +122,9 @@ class NetworkAdapter:
                              f"{endpoint.connection_id}")
         endpoint.steering = steering
         endpoint.connection_id = connection_id
+        if endpoint.process is None:
+            endpoint.process = self.sim.process(
+                self._tx_run(endpoint), name=f"{endpoint.name}.run")
         return endpoint
 
     def unbind_tx(self, iface: int) -> None:
@@ -155,7 +161,7 @@ class NetworkAdapter:
             if not endpoint.bound:
                 # Stragglers queued before an unbind are dropped; the
                 # manager drains connections before closing them.
-                self.dropped_rx_flits += 1
+                self.dropped_tx_flits += 1
                 continue
             endpoint.flow.admit()
             endpoint.flits_injected += 1
@@ -171,6 +177,9 @@ class NetworkAdapter:
             raise ValueError(f"{self.name}: rx interface {iface} already "
                              "bound")
         self._rx_bound[iface] = callback
+        if iface not in self.rx_processes:
+            self.rx_processes[iface] = self.sim.process(
+                self._rx_run(iface), name=f"{self.name}.rx{iface}")
 
     def unbind_rx(self, iface: int) -> None:
         self._rx_bound.pop(iface, None)
@@ -188,16 +197,17 @@ class NetworkAdapter:
             callback(flit, self.sim.now)
 
     def _rx_run(self, iface: int):
+        buffer = self.router.local_output.slots[iface].buffer
         if self.clock is None:
             while True:
-                flit = yield self.router.local_output.take(iface)
+                flit = yield buffer.get()
                 self._deliver_rx(iface, flit)
         # Clocked core: a small synchronizer FIFO pipelines the crossing —
         # throughput one flit per clock edge, latency the synchronizer
         # depth, back-pressure through the bounded FIFO into the network.
         sync_fifo = Store(self.sim, capacity=4,
                           name=f"{self.name}.sync{iface}")
-        self.sim.process(self._rx_sync_mover(iface, sync_fifo),
+        self.sim.process(self._rx_sync_mover(buffer, sync_fifo),
                          name=f"{self.name}.sync_mover{iface}")
         while True:
             yield sync_fifo.when_any()
@@ -208,9 +218,9 @@ class NetworkAdapter:
                     sync_fifo.try_get()
                     self._deliver_rx(iface, flit)
 
-    def _rx_sync_mover(self, iface: int, sync_fifo: Store):
+    def _rx_sync_mover(self, buffer: Store, sync_fifo: Store):
         while True:
-            flit = yield self.router.local_output.take(iface)
+            flit = yield buffer.get()
             yield sync_fifo.put((self.sim.now, flit))
 
     # -- BE interface -------------------------------------------------------------

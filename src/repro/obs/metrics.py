@@ -25,6 +25,7 @@ each contributes the probes it actually has.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["MetricsRegistry", "MetricsSnapshot", "instrument_network",
@@ -131,6 +132,23 @@ def _link_label(key) -> str:
     return f"{coord.x}.{coord.y}.{getattr(direction, 'name', direction)}"
 
 
+def _slot_probe(slots, vc: int, read: Callable[[Any], int]
+                ) -> Callable[[], int]:
+    """Probe of one VC slot that reads a slot never built as 0 and
+    never builds it."""
+    built = slots.built
+
+    def probe() -> int:
+        slot = built[vc]
+        return 0 if slot is None else read(slot)
+    return probe
+
+
+_flits_through = attrgetter("flits_through")
+_rotations = attrgetter("flow.admitted")
+_occupancy = attrgetter("occupancy")
+
+
 def _instrument_mango(registry: MetricsRegistry, network) -> None:
     """Probes over MANGO state: per-router activity counters, per-port
     arbiter grants, per-VC sharebox rotations / flits-through /
@@ -151,13 +169,16 @@ def _instrument_mango(registry: MetricsRegistry, network) -> None:
                                      for r, c in s.grants.items()})
                 registry.add_gauge(f"arbiter.{port.name}.busy_ns",
                                    lambda s=stats: s.busy_ns)
-            for slot in port.slots:
-                registry.add_counter(f"vc.{slot.name}.flits_through",
-                                     lambda s=slot: s.flits_through)
-                registry.add_counter(f"vc.{slot.name}.sharebox_rotations",
-                                     lambda s=slot: s.flow.admitted)
-                registry.add_gauge(f"vc.{slot.name}.occupancy",
-                                   lambda s=slot: s.occupancy)
+            for vc in range(len(port.slots)):
+                prefix = f"vc.{port.slot_name(vc)}"
+                registry.add_counter(f"{prefix}.flits_through",
+                                     _slot_probe(port.slots, vc,
+                                                 _flits_through))
+                registry.add_counter(f"{prefix}.sharebox_rotations",
+                                     _slot_probe(port.slots, vc,
+                                                 _rotations))
+                registry.add_gauge(f"{prefix}.occupancy",
+                                   _slot_probe(port.slots, vc, _occupancy))
             for chan in port.be_tx:
                 registry.add_counter(f"be.{chan.name}.flits_sent",
                                      lambda c=chan: c.flits_sent)
@@ -167,11 +188,14 @@ def _instrument_mango(registry: MetricsRegistry, network) -> None:
                                    lambda c=chan: c.credits)
         local = getattr(router, "local_output", None)
         if local is not None:
-            for slot in local.slots:
-                registry.add_counter(f"vc.{slot.name}.flits_through",
-                                     lambda s=slot: s.flits_through)
-                registry.add_gauge(f"vc.{slot.name}.occupancy",
-                                   lambda s=slot: s.occupancy)
+            for iface in range(len(local.slots)):
+                prefix = f"vc.{local.slot_name(iface)}"
+                registry.add_counter(f"{prefix}.flits_through",
+                                     _slot_probe(local.slots, iface,
+                                                 _flits_through))
+                registry.add_gauge(f"{prefix}.occupancy",
+                                   _slot_probe(local.slots, iface,
+                                               _occupancy))
 
 
 def _instrument_links(registry: MetricsRegistry, network) -> None:

@@ -29,6 +29,9 @@ class Pattern:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
+        # One Coord per tile, shared by every per-source candidate list
+        # (a 16x16 uniform pattern would otherwise hold ~65k copies).
+        self._tiles = list(mesh.tiles())
         self._others_cache: dict = {}
 
     def destination(self, src: Coord) -> Coord:
@@ -36,7 +39,7 @@ class Pattern:
 
     def _candidates(self, src: Coord) -> List[Coord]:
         """Candidate destinations for ``src``; subclass hook."""
-        return [tile for tile in self.mesh.tiles() if tile != src]
+        return [tile for tile in self._tiles if tile != src]
 
     def _other_tiles(self, src: Coord) -> List[Coord]:
         # The mesh is static, so the per-source candidate list is built
@@ -79,7 +82,7 @@ class LocalUniform(Pattern):
 
     def _candidates(self, src: Coord) -> List[Coord]:
         radius = self.radius
-        return [tile for tile in self.mesh.tiles()
+        return [tile for tile in self._tiles
                 if tile != src
                 and abs(tile.x - src.x) + abs(tile.y - src.y) <= radius]
 

@@ -66,6 +66,21 @@ class TestEndpointBinding:
         with pytest.raises(ValueError):
             net.adapters[Coord(1, 0)].bind_rx(conn.dst_iface, lambda f, t: None)
 
+    def test_stragglers_after_unbind_count_as_tx_drops(self):
+        """Flits still queued when the transmit side unbinds are dropped
+        at the source: transmit drops, not receive drops."""
+        net = MangoNetwork(2, 1)
+        conn = net.open_connection_instant(Coord(0, 0), Coord(1, 0))
+        src_na = net.adapters[Coord(0, 0)]
+        for value in range(5):
+            conn.send(value)
+        src_na.unbind_tx(conn.src_iface)
+        net.run(until=net.now + 500.0)
+        assert src_na.dropped_tx_flits == 5
+        assert src_na.dropped_rx_flits == 0
+        assert src_na.tx_endpoints[conn.src_iface].flits_injected == 0
+        assert conn.sink.count == 0
+
 
 class TestGalsBoundary:
     def test_clocked_na_quantizes_injection(self):

@@ -1,5 +1,6 @@
 """Tests for the metrics registry (``repro.obs.metrics``)."""
 
+import hashlib
 import json
 
 from repro.obs import MetricsRegistry, MetricsSnapshot, ObsConfig
@@ -83,3 +84,43 @@ class TestRegistry:
         payload = snap.to_dict()
         assert list(payload["counters"]) == sorted(payload["counters"])
         assert list(payload["gauges"]) == sorted(payload["gauges"])
+
+
+class TestUnbuiltSlots:
+    """VC slots are built on demand; the probe set must not notice."""
+
+    #: The sorted smoke snapshot of gs-cbr-16x16-corners, recorded when
+    #: every VC slot of every port was built at construction: key count
+    #: (counters + gauges), ``vc.*`` key count and sha256.
+    SNAPSHOT_KEYS = 24_259 + 11_200
+    VC_KEYS = 17_408 + 9_216
+    SNAPSHOT_SHA256 = ("5b4608c3b069f6c9f84602bc46a89e66"
+                       "3d0f5249b7fbfbaf7910f91acbf170fd")
+
+    def test_snapshot_unchanged_with_unbuilt_slots(self):
+        metrics = _run("gs-cbr-16x16-corners",
+                       obs=ObsConfig(metrics=True)).metrics
+        keys = list(metrics["counters"]) + list(metrics["gauges"])
+        assert len(keys) == self.SNAPSHOT_KEYS
+        assert sum(key.startswith("vc.") for key in keys) == self.VC_KEYS
+        blob = json.dumps(metrics, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.SNAPSHOT_SHA256
+
+    def test_registry_builds_no_slot(self):
+        def built(runner):
+            return sum(slot is not None
+                       for router in runner.network.routers.values()
+                       for port in (*router.output_ports.values(),
+                                    router.local_output)
+                       for slot in port.slots.built)
+
+        spec = get("gs-cbr-16x16-corners").smoke()
+        plain = ScenarioRunner(spec)
+        plain.build()
+        observed = ScenarioRunner(spec, obs=ObsConfig(metrics=True))
+        observed.build()
+        observed.metrics_registry.snapshot()
+        assert built(observed) == built(plain)
+        plain.run()
+        observed.run()
+        assert built(observed) == built(plain) > 0
