@@ -15,7 +15,9 @@ run-phase (construction excluded) rates:
   kernel-version-independent measure of simulated work.
 
 Wall-clock rates swing with the host, so the gates are exact work
-counters instead (cProfile call counts are identical from run to run):
+counters instead (cProfile call counts are identical from run to run),
+measured through :mod:`repro.obs.profile` — ``python -m repro profile``
+prints the same run-phase figure:
 
 * ``test_calls_per_hop_ceiling`` profiles the run phase of
   ``corner-streams-8x8`` and ``gs-under-saturation-8x8`` (the MANGO
@@ -38,10 +40,8 @@ The absolute rates are machine-dependent; the flit-hop counts are not
 runner reproduces the original construction order exactly).
 """
 
-import cProfile
-import pstats
-
 from repro.analysis.report import Table
+from repro.obs.profile import calls_to, profile_run, profiled
 from repro.scenarios import ScenarioRunner, get
 from repro.sim.kernel import Simulator
 
@@ -110,14 +110,8 @@ def test_kernel_throughput(benchmark):
 def profiled_calls_per_hop(name: str):
     """Run-phase calls per flit hop of one full-duration cell, after an
     unprofiled warm-up run (lazy imports and caches are then hot)."""
-    ScenarioRunner(get(name)).run()
-    runner = ScenarioRunner(get(name))
-    runner.build()
-    profile = cProfile.Profile()
-    profile.enable()
-    result = runner.run()
-    profile.disable()
-    return pstats.Stats(profile).total_calls / result.flit_hops, result
+    result, stats = profile_run(lambda: ScenarioRunner(get(name)))
+    return stats.total_calls / result.flit_hops, result
 
 
 def run_ceiling():
@@ -151,19 +145,12 @@ def profiled_build(name: str):
     cell, after an unprofiled warm-up build; the profiled build is then
     run unprofiled for its flit hops."""
     ScenarioRunner(get(name)).build()
-    profile = cProfile.Profile()
-    profile.enable()
     runner = ScenarioRunner(get(name))
-    runner.build()
-    profile.disable()
-    stats = pstats.Stats(profile)
-    code = Simulator.process.__code__
-    entry = stats.stats.get((code.co_filename, code.co_firstlineno,
-                             code.co_name))
+    _network, stats = profiled(runner.build)
     routers = runner.spec.cols * runner.spec.rows
     result = runner.run()
     return (stats.total_calls / routers,
-            (entry[1] if entry else 0) / routers, result)
+            calls_to(stats, Simulator.process) / routers, result)
 
 
 def run_build_ceiling():

@@ -15,8 +15,8 @@ Commands:
 * ``trace``      — flit-timeline observability: ``run`` a scenario with
   tracing enabled and export a Chrome trace-event JSON (or print the
   text timeline), or ``validate`` an exported file against the schema
-* ``profile``    — run a scenario under the kernel callback-site
-  profiler and print the per-site wall-clock attribution table
+* ``profile``    — profile a scenario's run phase with ``cProfile``
+  and print exact calls per flit hop by layer plus the hottest functions
 * ``alloc``      — connection allocation: print a named adversarial
   ``demand-set`` as JSON, or ``report`` the acceptance-rate comparison
   of the registered strategies on a demand set
@@ -86,6 +86,23 @@ def cmd_simulate(args) -> int:
 
 def _fmt_ns(value: float) -> str:
     return "-" if math.isnan(value) else f"{value:.1f}"
+
+
+def _scenario_names(names) -> list:
+    """The scenarios a comma-separated ``names`` argument selects (all
+    when empty).  A typo exits 2 before anything runs, listing the
+    unknown and the known names on stderr."""
+    from .scenarios import registry
+
+    if not names:
+        return registry.names()
+    requested = [name.strip() for name in names.split(",") if name.strip()]
+    unknown = [name for name in requested if name not in registry.SCENARIOS]
+    if unknown:
+        print(f"unknown scenario(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(registry.names())}", file=sys.stderr)
+        raise SystemExit(2)
+    return requested
 
 
 def cmd_scenario(args) -> int:
@@ -165,19 +182,8 @@ def cmd_scenario(args) -> int:
                                 allocator=args.allocator, obs=obs)
         return runner.run()
 
-    def resolve(requested):
-        """Fail fast (and cleanly) on typos, before any scenario runs."""
-        unknown = [name for name in requested
-                   if name not in registry.SCENARIOS]
-        if unknown:
-            print(f"unknown scenario(s): {', '.join(unknown)}",
-                  file=sys.stderr)
-            print(f"known: {', '.join(registry.names())}", file=sys.stderr)
-            raise SystemExit(2)
-        return requested
-
     if args.action == "run":
-        resolve([args.name])
+        _scenario_names(args.name)
         try:
             result = run_one(args.name)
         except BackendCapabilityError as error:
@@ -296,10 +302,7 @@ def cmd_scenario(args) -> int:
         if ran_on == default:
             return SMOKE_FINGERPRINTS.get(name)
         return BACKEND_SMOKE_FINGERPRINTS.get(ran_on, {}).get(name)
-    selected = registry.names()
-    if args.names:
-        selected = resolve([n.strip() for n in args.names.split(",")
-                            if n.strip()])
+    selected = _scenario_names(args.names)
     from .scenarios.fleet import FleetCell, run_fleet
     cells = [FleetCell(name=name, backend=args.backend,
                        allocator=args.allocator, topology=args.topology,
@@ -397,7 +400,6 @@ def cmd_bench(args) -> int:
 
     from .bench import (DEFAULT_TOLERANCE, bench_payload, compare_benches,
                         load_bench, trajectory_report, write_bench)
-    from .scenarios import registry
     from .scenarios.fleet import FleetCell, run_fleet
 
     # Flags scoped to the other action are refused, not ignored.
@@ -458,20 +460,10 @@ def cmd_bench(args) -> int:
     def collect():
         """Run the fleet now (no result cache: recorded wall times must
         be measurements, not replays) and assemble the payload."""
-        selected = registry.names()
-        if args.names:
-            names = [n.strip() for n in args.names.split(",")
-                     if n.strip()]
-            unknown = [n for n in names if n not in registry.SCENARIOS]
-            if unknown:
-                print(f"unknown scenario(s): {', '.join(unknown)}",
-                      file=sys.stderr)
-                raise SystemExit(2)
-            selected = names
         cells = [FleetCell(name=name, backend=args.backend,
                            allocator=args.allocator, smoke=args.smoke,
                            metrics=args.metrics)
-                 for name in selected]
+                 for name in _scenario_names(args.names)]
         start = time.perf_counter()
         outcomes = run_fleet(cells, jobs=args.jobs)
         wall = time.perf_counter() - start
@@ -540,10 +532,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _resolve_cell(args):
-    """Resolve a trace/profile scenario argument to a (smoked) spec, or
-    ``None`` (after printing why) when the name is unknown."""
-    from .scenarios import get, registry
+def _cell_runner(args, obs=None):
+    """A fresh runner for a trace/profile scenario argument (smoked
+    unless ``--full``), or ``None`` (exit 2) after printing why: an
+    unknown name, or a SKIP when ``--backend`` cannot build the cell."""
+    from .backends import BackendCapabilityError
+    from .scenarios import ScenarioRunner, get, registry
 
     if args.name not in registry.SCENARIOS:
         print(f"unknown scenario {args.name!r} (see: scenario list)",
@@ -554,7 +548,11 @@ def _resolve_cell(args):
         # Observability runs default to smoke durations: a full soak
         # cell emits tens of millions of records; opt in with --full.
         spec = spec.smoke()
-    return spec
+    try:
+        return ScenarioRunner(spec, backend=args.backend, obs=obs)
+    except BackendCapabilityError as error:
+        print(f"SKIP: {error}", file=sys.stderr)
+        return None
 
 
 def cmd_trace(args) -> int:
@@ -562,7 +560,6 @@ def cmd_trace(args) -> int:
 
     from .obs import (ChromeTraceSink, ObsConfig, parse_filters,
                       render_timeline, validate_chrome_trace)
-    from .scenarios import ScenarioRunner
     from .sim.tracing import Tracer
 
     if args.action == "validate":
@@ -601,9 +598,6 @@ def cmd_trace(args) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    spec = _resolve_cell(args)
-    if spec is None:
-        return 2
     sources = filters.get("source")
     kinds = filters.get("kind")
     sink = None
@@ -614,8 +608,9 @@ def cmd_trace(args) -> int:
     max_records = (args.max_records if args.max_records is not None
                    else 65_536)
     tracer = Tracer(enabled=True, max_records=max_records, sink=sink)
-    runner = ScenarioRunner(spec, backend=args.backend,
-                            obs=ObsConfig(tracer=tracer))
+    runner = _cell_runner(args, obs=ObsConfig(tracer=tracer))
+    if runner is None:
+        return 2
     result = runner.run()
     if args.out:
         sink.save(args.out)
@@ -634,32 +629,42 @@ def cmd_trace(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .obs import CallSiteProfiler, ObsConfig
-    from .scenarios import ScenarioRunner
+    import pstats
+
+    from .obs.profile import by_layer, layer_of, profile_run
 
     if args.top < 1:
         print(f"--top must be >= 1 (got {args.top})", file=sys.stderr)
         return 2
-    spec = _resolve_cell(args)
-    if spec is None:
+    if _cell_runner(args) is None:
         return 2
-    profiler = CallSiteProfiler()
-    runner = ScenarioRunner(spec, backend=args.backend,
-                            obs=ObsConfig(profile=profiler))
-    runner.build()
-    # Attribute the run phase only: construction-time dispatches (table
-    # programming, process starts) are not what the hot path is.
-    profiler.reset()
-    result = runner.run()
+    # The K1b procedure (warm-up run, fresh build, profiled run), so the
+    # total below is the calls per flit hop the CI work gate pins.
+    result, stats = profile_run(lambda: _cell_runner(args))
+    hops = result.flit_hops
     print(f"profile {result.name} ({'full' if args.full else 'smoke'}, "
-          f"backend {result.backend}): {result.events} kernel events "
-          f"in {result.wall_s:.3f}s wall")
+          f"backend {result.backend}): {hops} flit hops, "
+          f"{result.events} kernel events; run phase under cProfile")
     print()
-    print(profiler.table(top=args.top, wall_s=result.wall_s))
-    attributed = profiler.total_seconds
-    if result.wall_s > 0:
-        print(f"\n{attributed / result.wall_s:.1%} of run-phase wall "
-              "time attributed")
+    self_total = stats.total_tt
+    table = Table(["layer", "calls", "calls/hop", "self time"],
+                  title="Run-phase Python calls by layer")
+    for layer, (calls, self_s) in by_layer(stats).items():
+        table.add_row(layer, calls, f"{calls / hops:.2f}",
+                      f"{self_s / self_total:.1%}" if self_total else "-")
+    table.add_row("total", stats.total_calls,
+                  f"{stats.total_calls / hops:.2f}", "100.0%")
+    print(table.render())
+    print()
+    rows = sorted(stats.stats.items(),
+                  key=lambda item: (-item[1][2], item[0]))[:args.top]
+    table = Table(["function", "layer", "calls", "self s", "cum s"],
+                  title=f"Top {len(rows)} functions by self time")
+    for key, (_cc, calls, self_s, cum_s, _callers) in rows:
+        table.add_row(pstats.func_std_string(pstats.func_strip_path(key)),
+                      layer_of(key[0]), calls, f"{self_s:.4f}",
+                      f"{cum_s:.4f}")
+    print(table.render())
     return 0 if result.passed else 1
 
 
@@ -1045,11 +1050,12 @@ def main(argv=None) -> int:
                             "the topology's own backend)")
 
     profile = sub.add_parser(
-        "profile", help="kernel hot-path profile: wall time per "
-                        "callback site (see docs/observability.md)")
+        "profile", help="run-phase cProfile: exact calls per flit hop "
+                        "by layer (see docs/observability.md)")
     profile.add_argument("name", help="scenario name to profile")
     profile.add_argument("--top", type=int, default=15,
-                         help="rows in the hot-site table (default 15)")
+                         help="rows in the hot-function table "
+                              "(default 15)")
     profile.add_argument("--full", action="store_true",
                          help="profile the full-length scenario "
                               "instead of the smoke-sized cut")

@@ -113,9 +113,8 @@ class RouterBackend(ABC):
         its geometry (and, for clocked backends, timing-derived slot
         parameters) matter here — traffic is attached by the runner.
         ``obs`` is an optional :class:`repro.obs.ObsConfig`: backends
-        attach its tracer to their emit points and hand its profiler to
-        the kernel; ``None`` (the default) keeps every hot path on the
-        untouched no-observability branch.
+        attach its tracer to their emit points; ``None`` (the default)
+        keeps every hot path on the untouched no-observability branch.
         """
 
     @abstractmethod

@@ -223,14 +223,10 @@ class BaseGraphNetwork:
 
     def attach_observability(self, obs) -> None:
         """Late-bind an :class:`repro.obs.ObsConfig`: transports read
-        ``self.tracer`` per emit and the profiled drain checks its hook
-        per drain call, so attaching after construction is exact."""
-        if obs is None:
-            return
-        if obs.tracer is not None:
+        ``self.tracer`` per emit, so attaching after construction is
+        exact."""
+        if obs is not None and obs.tracer is not None:
             self.tracer = obs.tracer
-        if obs.profile is not None:
-            self.sim.profile = obs.profile
 
     def register_connection(self, src: Coord, dst: Coord,
                             route: Optional[List] = None

@@ -38,8 +38,7 @@ class MangoBackend(RouterBackend):
                       obs=None) -> MangoNetwork:
         return MangoNetwork(
             spec.cols, spec.rows, config=config,
-            tracer=obs.tracer if obs is not None else None,
-            profile=obs.profile if obs is not None else None)
+            tracer=obs.tracer if obs is not None else None)
 
     def open_connection(self, network: MangoNetwork, src: Coord,
                         dst: Coord):

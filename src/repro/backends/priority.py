@@ -52,8 +52,7 @@ class PriorityBackend(MangoBackend):
         return MangoNetwork(
             spec.cols, spec.rows,
             config=priority_router_config(config or RouterConfig()),
-            tracer=obs.tracer if obs is not None else None,
-            profile=obs.profile if obs is not None else None)
+            tracer=obs.tracer if obs is not None else None)
 
     def latency_bound_ns(self, hops: int,
                          config: Optional[RouterConfig] = None) -> float:

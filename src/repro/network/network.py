@@ -31,16 +31,14 @@ class MangoNetwork:
                  mesh: Optional[Mesh] = None,
                  tracer: Optional[Tracer] = None,
                  clocks: Optional[Dict[Coord, ClockDomain]] = None,
-                 allocator="xy", profile=None):
+                 allocator="xy"):
         self.config = config or RouterConfig()
         self.mesh = mesh or Mesh(cols, rows,
                                  link_length_mm=self.config.link_length_mm,
                                  link_stages=self.config.link_stages)
         if self.mesh.cols != cols or self.mesh.rows != rows:
             raise ValueError("mesh dimensions disagree with cols/rows")
-        # ``profile`` opts the kernel into callback-site profiling
-        # (repro.obs.profile); None keeps the untouched hot loop.
-        self.sim = Simulator(profile=profile)
+        self.sim = Simulator()
         # Note: an empty Tracer is falsy (len == 0), so test identity.
         self.tracer = NULL_TRACER if tracer is None else tracer
         clocks = clocks or {}

@@ -10,8 +10,9 @@ byte-identical with observability disabled):
 * :mod:`repro.obs.trace` — the Chrome trace-event exporter and text
   timeline over the bounded ring-buffer
   :class:`~repro.sim.tracing.Tracer` (``trace run <cell>``);
-* :mod:`repro.obs.profile` — the callback-site profiler behind
-  ``Simulator(profile=...)`` (``profile <cell>``).
+* :mod:`repro.obs.profile` — exact ``cProfile`` call counts of a run
+  phase, split by layer (``profile <cell>`` and the K1 work gates);
+  it profiles from outside, so the kernel carries no hook.
 
 :class:`ObsConfig` bundles one run's choices; the scenario runner
 threads it to the backend's ``build_network`` and attaches the results
@@ -29,18 +30,15 @@ from typing import Optional
 from ..sim.tracing import Tracer
 from .metrics import (MetricsRegistry, MetricsSnapshot, build_registry,
                       instrument_network)
-from .profile import CallSiteProfiler, callback_site
 from .trace import (ChromeTraceSink, parse_filters, render_timeline,
                     validate_chrome_trace)
 
 __all__ = [
-    "CallSiteProfiler",
     "ChromeTraceSink",
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsConfig",
     "build_registry",
-    "callback_site",
     "instrument_network",
     "parse_filters",
     "render_timeline",
@@ -55,29 +53,9 @@ class ObsConfig:
     ``metrics`` registers the standard probe set at build time and
     snapshots it at run end; ``metrics_sample_ns`` additionally samples
     gauge high-water marks on that cadence.  ``tracer`` is attached to
-    the network (routers and links emit through it); ``profile`` is
-    handed to the ``Simulator``.
+    the network (routers and links emit through it).
     """
 
     metrics: bool = False
     metrics_sample_ns: Optional[float] = None
     tracer: Optional[Tracer] = None
-    profile: Optional[CallSiteProfiler] = None
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.metrics or self.tracer is not None
-                    or self.profile is not None)
-
-    @property
-    def mode(self) -> str:
-        """Short label embedded in BENCH headers (``"off"`` or a
-        ``+``-joined subset of ``metrics``/``trace``/``profile``)."""
-        parts = []
-        if self.metrics:
-            parts.append("metrics")
-        if self.tracer is not None:
-            parts.append("trace")
-        if self.profile is not None:
-            parts.append("profile")
-        return "+".join(parts) if parts else "off"

@@ -1,124 +1,99 @@
-"""Callback-site profiling for the simulation kernel.
+"""Exact-work profiling: ``cProfile`` call counts split by layer.
 
-``Simulator(profile=CallSiteProfiler())`` swaps the drive loop for an
-instrumented twin (:meth:`repro.sim.kernel.Simulator._drain_profiled`)
-that wall-clocks every dispatched callback and deferred call, attributed
-to its *site* — the owning object's class plus the method (or, for
-process resumes, the generator function actually running).  The result
-is the table ``python -m repro profile <cell>`` prints: which router
-subsystem the interpreter actually spends its time in, measured rather
-than guessed.
-
-The profiler is duck-typed from the kernel's side (``record(fn, s)`` /
-``overhead(s)``) so this module stays import-free of :mod:`repro.sim`.
+``python -m repro profile <cell>`` and the K1 work gates in
+``benchmarks/bench_kernel_throughput.py`` measure through the same
+:func:`profile_run`, so the calls per flit hop the CLI prints is the
+number CI pins.  Call counts repeat exactly, which host noise cannot
+fake; self times carry cProfile's own per-call cost.  Runners are
+driven duck-typed, so this imports nothing from ``repro``.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import cProfile
+import gc
+import os
+import pstats
+import sysconfig
+from typing import Any, Callable, Dict, Tuple
 
-__all__ = ["CallSiteProfiler", "callback_site"]
+__all__ = ["by_layer", "calls_to", "layer_of", "profile_run", "profiled"]
 
-#: Site name charged with everything the profiled loop spends *outside*
-#: dispatches: scheduler pops, loop bookkeeping, and the timer calls.
-OVERHEAD_SITE = "(kernel) scheduler + drive loop"
+#: ``src/repro``: a function's layer is the sub-package below it.
+_PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_STDLIB = sysconfig.get_paths()["stdlib"] + os.sep
+_SITE_PACKAGES = tuple(sysconfig.get_paths()[key] + os.sep
+                       for key in ("purelib", "platlib"))
 
 
-def callback_site(fn: Callable) -> str:
-    """Human-readable site for a kernel-dispatched callable.
+class _Profile(cProfile.Profile):
+    """Code objects can share one ``(file, line, name)`` label (every
+    dataclass ``__init__`` is ``<string>:2(__init__)``); cProfile keeps
+    the last entry per label in memory-address order, which moves between
+    processes.  Ordering entries by call count keeps the busiest one."""
 
-    * a :class:`~repro.sim.kernel.Process` resume is attributed to the
-      *generator function* the process runs (``MangoRouter._be_worker``),
-      not to ``Process._do_resume`` — that is the code that executes;
-    * other bound methods become ``Owner.method``;
-    * ``functools.partial`` unwraps to the wrapped callable;
-    * plain functions report their qualified name.
+    def getstats(self):
+        return sorted(super().getstats(), key=lambda entry: entry.callcount)
+
+
+def profiled(fn: Callable, *args: Any) -> Tuple[Any, pstats.Stats]:
+    """``fn(*args)`` under a fresh profiler: ``(result, stats)``, after
+    collecting earlier garbage (a dropped generator's close is a call)."""
+    gc.collect()
+    profile = _Profile()
+    result = profile.runcall(fn, *args)
+    return result, pstats.Stats(profile)
+
+
+def calls_to(stats: pstats.Stats, function: Callable) -> int:
+    """Calls ``stats`` recorded to the Python ``function`` (0 if none)."""
+    code = function.__code__
+    entry = stats.stats.get((code.co_filename, code.co_firstlineno,
+                             code.co_name))
+    return entry[1] if entry else 0
+
+
+def layer_of(filename: str) -> str:
+    """The layer of a profiled function's source file.
+
+    A ``repro`` sub-package (``sim``, ``core``, ``backends``, ...);
+    ``python`` for builtins (``~``), generated code (``<string>``, e.g.
+    dataclass ``__init__``) and the standard library; ``other`` for
+    anything else: top-level ``repro`` modules, tests, site-packages.
     """
-    while isinstance(fn, functools.partial):
-        fn = fn.func
-    owner = getattr(fn, "__self__", None)
-    if owner is not None:
-        generator = getattr(owner, "_generator", None)
-        code = getattr(generator, "gi_code", None)
-        if code is not None:
-            return getattr(code, "co_qualname", code.co_name)
-        return f"{type(owner).__name__}.{fn.__name__}"
-    return getattr(fn, "__qualname__", None) or repr(fn)
+    if filename.startswith(("~", "<")):
+        return "python"
+    path = os.path.abspath(filename)
+    if path.startswith(_PACKAGE + os.sep):
+        parts = path[len(_PACKAGE) + 1:].split(os.sep)
+        return parts[0] if len(parts) > 1 else "other"
+    if path.startswith(_STDLIB) and not path.startswith(_SITE_PACKAGES):
+        return "python"
+    return "other"
 
 
-class CallSiteProfiler:
-    """Accumulates per-site dispatch counts and inclusive wall seconds."""
+def by_layer(stats: pstats.Stats) -> Dict[str, Tuple[int, float]]:
+    """``{layer: (calls, self seconds)}`` in layer-name order; the calls
+    sum to ``stats.total_calls``."""
+    totals: Dict[str, list] = {}
+    for (filename, _line, _name), (_cc, calls, self_s, _cum, _callers) \
+            in stats.stats.items():
+        entry = totals.setdefault(layer_of(filename), [0, 0.0])
+        entry[0] += calls
+        entry[1] += self_s
+    return {layer: (calls, self_s)
+            for layer, (calls, self_s) in sorted(totals.items())}
 
-    def __init__(self):
-        #: site -> [dispatch count, inclusive seconds]
-        self.sites: Dict[str, List] = {}
 
-    # -- kernel-facing hooks (called per dispatch / per drain) ------------
+def profile_run(make_runner: Callable[[], Any]
+                ) -> Tuple[Any, pstats.Stats]:
+    """Profile one scenario's run phase: ``(result, stats)``.
 
-    def record(self, fn: Callable, seconds: float) -> None:
-        site = callback_site(fn)
-        entry = self.sites.get(site)
-        if entry is None:
-            self.sites[site] = [1, seconds]
-        else:
-            entry[0] += 1
-            entry[1] += seconds
-
-    def overhead(self, seconds: float) -> None:
-        """Charge non-dispatch loop time to :data:`OVERHEAD_SITE`."""
-        if seconds <= 0.0:
-            return
-        entry = self.sites.get(OVERHEAD_SITE)
-        if entry is None:
-            self.sites[OVERHEAD_SITE] = [0, seconds]
-        else:
-            entry[1] += seconds
-
-    # -- reporting --------------------------------------------------------
-
-    def reset(self) -> None:
-        """Forget everything recorded so far (e.g. the build phase, so a
-        report covers the run phase only)."""
-        self.sites.clear()
-
-    @property
-    def total_calls(self) -> int:
-        return sum(entry[0] for entry in self.sites.values())
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(entry[1] for entry in self.sites.values())
-
-    def top(self, n: Optional[int] = None) -> List[Tuple[str, int, float]]:
-        """``(site, calls, seconds)`` rows, most expensive first (ties
-        broken by site name so the ordering is deterministic)."""
-        rows = sorted(((site, entry[0], entry[1])
-                       for site, entry in self.sites.items()),
-                      key=lambda row: (-row[2], row[0]))
-        return rows if n is None else rows[:n]
-
-    def table(self, top: Optional[int] = None,
-              wall_s: Optional[float] = None) -> str:
-        """Render the hot-site table.  With ``wall_s`` (the measured
-        run-phase wall time) each row and the footer also show the share
-        of that wall time accounted for."""
-        total = wall_s if wall_s else self.total_seconds
-        rows = self.top(top)
-        header = f"{'site':<52s} {'calls':>12s} {'seconds':>10s} {'%wall':>7s}"
-        lines = [header, "-" * len(header)]
-        for site, calls, seconds in rows:
-            share = 100.0 * seconds / total if total > 0 else 0.0
-            lines.append(f"{site:<52s} {calls:>12d} {seconds:>10.4f} "
-                         f"{share:>6.1f}%")
-        attributed = self.total_seconds
-        share = 100.0 * attributed / total if total > 0 else 0.0
-        lines.append("-" * len(header))
-        lines.append(f"{'total attributed':<52s} {self.total_calls:>12d} "
-                     f"{attributed:>10.4f} {share:>6.1f}%")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe dump: ``{site: {"calls": n, "seconds": s}}``."""
-        return {site: {"calls": entry[0], "seconds": entry[1]}
-                for site, entry in sorted(self.sites.items())}
+    ``make_runner()`` returns a fresh, unbuilt scenario runner.  The
+    first runs unprofiled so lazy imports and caches are warm; only the
+    second one's ``run()`` is profiled, after an unprofiled build.
+    """
+    make_runner().run()
+    runner = make_runner()
+    runner.build()
+    return profiled(runner.run)

@@ -365,8 +365,8 @@ class ScenarioRunner:
         # default the golden fingerprints pin.
         self.allocator = allocator
         # Observability choices for this run (metrics probes, a tracer
-        # wired to the emit points, kernel profiling); None keeps every
-        # hot path on the no-op branch.
+        # wired to the emit points); None keeps every hot path on the
+        # no-op branch.
         self.obs = obs
         self.metrics_registry: Optional[MetricsRegistry] = None
         if self._allocator_name() != "xy" and \

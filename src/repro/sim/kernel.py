@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -454,16 +453,11 @@ class Simulator:
     ``(time, priority, sequence, None, fn, args)`` entries — the first
     three elements alone order the queue, so entry widths may mix.
 
-    ``profile`` opts into callback-site profiling: pass a profiler (any
-    object with ``record(fn, seconds)`` and ``overhead(seconds)`` — see
-    :class:`repro.obs.profile.CallSiteProfiler`) or ``True`` for a fresh
-    one.  Profiling swaps the drive loop for an instrumented twin that
-    times every dispatch; with ``profile=None`` (the default) the hot
-    loop is untouched — the only cost is one ``is None`` check per
-    *drain call*, never per event.
+    There is no profiling hook: ``cProfile`` observes a run from outside
+    (:mod:`repro.obs.profile`).
     """
 
-    def __init__(self, profile=None):
+    def __init__(self):
         self._heap: list = []
         # Prebound C-level push shared by Timeout/succeed/fail/defer: the
         # hottest call in the system pays no Python frame.
@@ -475,14 +469,6 @@ class Simulator:
         #: events (see the module docstring); benchmarks report events
         #: per wall-clock second.
         self.events_processed = 0
-        if profile is True:
-            # Deliberate upward seam (like network/connection.py -> alloc):
-            # the profiler *type* lives in the observability layer; the
-            # kernel only holds the duck-typed instance.
-            from ..obs.profile import CallSiteProfiler
-            profile = CallSiteProfiler()
-        #: Active callback-site profiler, or ``None`` (the default).
-        self.profile = profile or None
         # Shared ok/None event handed to every process's first resume.
         self._boot_event = Event.completed(self)
 
@@ -544,8 +530,6 @@ class Simulator:
         ``stop_event`` has triggered.  Returns the number dispatched.
         This single tight loop backs every public drive method.
         """
-        if self.profile is not None:
-            return self._drain_profiled(until, max_entries, stop_event)
         heap = self._heap
         count = 0
         bounded = max_entries is not None or stop_event is not None
@@ -578,70 +562,6 @@ class Simulator:
                     raise event._value
         finally:
             self.events_processed += count
-        return count
-
-    def _drain_profiled(self, until: float, max_entries: Optional[int],
-                        stop_event: Optional[Event]) -> int:
-        """Instrumented twin of :meth:`_drain`: identical dispatch order,
-        but every callback/deferred call is timed and attributed to its
-        *site* through ``self.profile``.  Time the loop spends outside
-        dispatches (heap pops, bookkeeping, the timer itself) is
-        attributed separately via ``profile.overhead``, so the profiler's
-        total accounts for essentially the whole drain wall time.
-
-        Nested synchronous work (:func:`fire` deliveries, inline event
-        consumptions) counts *inside* the dispatch that triggered it —
-        inclusive timing, matching how a sampling profiler would blame
-        the callback that kept the interpreter busy.
-        """
-        profile = self.profile
-        record = profile.record
-        heap = self._heap
-        count = 0
-        bounded = max_entries is not None or stop_event is not None
-        t_loop = perf_counter()
-        dispatched_s = 0.0
-        try:
-            while heap and heap[0][0] <= until:
-                if bounded:
-                    if count == max_entries:
-                        break
-                    if stop_event is not None and \
-                            stop_event._value is not _PENDING:
-                        break
-                entry = heappop(heap)
-                self._now = entry[0]
-                count += 1
-                event = entry[3]
-                if event is None:
-                    fn = entry[4]
-                    t0 = perf_counter()
-                    fn(*entry[5])
-                    dt = perf_counter() - t0
-                    dispatched_s += dt
-                    record(fn, dt)
-                    continue
-                cbs = event.callbacks
-                event.callbacks = _PROCESSED
-                if cbs is not None:
-                    if type(cbs) is list:
-                        for callback in cbs:
-                            t0 = perf_counter()
-                            callback(event)
-                            dt = perf_counter() - t0
-                            dispatched_s += dt
-                            record(callback, dt)
-                    else:
-                        t0 = perf_counter()
-                        cbs(event)
-                        dt = perf_counter() - t0
-                        dispatched_s += dt
-                        record(cbs, dt)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed += count
-            profile.overhead(perf_counter() - t_loop - dispatched_s)
         return count
 
     def step(self) -> None:

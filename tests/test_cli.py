@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -718,9 +720,31 @@ class TestObservabilityCli:
     def test_profile_prints_hot_sites(self, capsys):
         assert main(["profile", "be-uniform-4x4", "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "%wall" in out
-        assert "total attributed" in out
-        assert "wall time attributed" in out
+        assert "Top 3 functions by self time" in out
+        assert "cum s" in out
+        assert re.search(r"kernel\.py:\d+\(_drain\)\s+sim", out)
+        # Calls per flit hop split by layer, with a total row.
+        assert "calls/hop" in out
+        assert re.search(r"^\s*core\s+\d+\s+\d+\.\d\d\s", out, re.M)
+        assert re.search(r"^\s*total\s+\d+\s+\d+\.\d\d\s+100\.0%",
+                         out, re.M)
+
+    def test_profile_routerless_fabric_has_no_core_row(self, capsys):
+        assert main(["profile", "routerless-cbr-8x8", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^\s*backends\s+\d+", out, re.M)
+        assert not re.search(r"^\s*core\s+\d+", out, re.M)
+
+    @pytest.mark.parametrize("cell,backend", [
+        ("be-uniform-4x4", "ring"), ("ring-cbr-8x8", "mango")])
+    def test_profile_unbuildable_backend_skips(self, capsys, cell, backend):
+        assert main(["profile", cell, "--backend", backend]) == 2
+        assert capsys.readouterr().err.startswith("SKIP: ")
+
+    def test_trace_unbuildable_backend_skips(self, capsys):
+        assert main(["trace", "run", "be-uniform-4x4",
+                     "--backend", "ring"]) == 2
+        assert capsys.readouterr().err.startswith("SKIP: ")
 
     def test_profile_bad_top_exits_two(self, capsys):
         assert main(["profile", "be-uniform-4x4", "--top", "0"]) == 2
