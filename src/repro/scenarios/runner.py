@@ -43,7 +43,7 @@ from ..traffic.patterns import (BitComplement, Hotspot, LocalUniform,
                                 NearestNeighbor, Pattern, Transpose,
                                 UniformRandom)
 from ..traffic.stats import P2Quantile, RunningStats, percentile
-from ..traffic.workload import UniformBeWorkload
+from ..traffic.workload import UniformBeWorkload, run_until_processes_done
 from .spec import BeTrafficSpec, ChurnSpec, FailureSpec, ScenarioSpec
 
 __all__ = [
@@ -477,9 +477,9 @@ class ScenarioRunner:
     # -- driving -----------------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        """Build (if needed) and drive the scenario to completion: wait
-        on an ``AllOf`` over the source processes, then drain for the
-        spec's ``drain_ns``."""
+        """Build (if needed) and drive the scenario to completion with
+        :func:`run_until_processes_done`: wait for the source processes,
+        then drain for the spec's ``drain_ns``."""
         if self.network is None:
             self.build()
         net = self.network
@@ -495,12 +495,9 @@ class ScenarioRunner:
         start = time.perf_counter()
         try:
             if processes:
-                done = net.sim.all_of(processes)
-                if not net.sim.run_until_triggered(done, max_ns=spec.max_ns):
-                    raise RuntimeError(
-                        f"scenario {spec.name!r} did not finish within "
-                        f"{spec.max_ns} ns (deadlock or overload)")
-                net.run(until=net.now + spec.drain_ns)
+                run_until_processes_done(net, processes,
+                                         drain_ns=spec.drain_ns,
+                                         max_ns=spec.max_ns)
             else:
                 # Preload-only scenarios have no driving processes: the
                 # heap drains by itself once all flits are delivered.

@@ -18,16 +18,9 @@ __all__ = ["UniformBeWorkload", "run_until_processes_done"]
 
 
 def run_until_processes_done(network, processes, drain_ns: float = 2000.0,
-                             step_ns: float = 2000.0,
                              max_ns: float = 5e6) -> float:
     """Advance the simulation until every process has finished, then let
-    in-flight traffic drain.  Returns the finish time.
-
-    Driving is event-based: the kernel runs flat out until an ``AllOf``
-    over the source processes triggers, instead of waking up every
-    ``step_ns`` to poll them (``step_ns`` is kept for API compatibility
-    but no longer paces anything).
-    """
+    in-flight traffic drain.  Returns the finish time."""
     sim = network.sim
     done = sim.all_of(processes)
     if not sim.run_until_triggered(done, max_ns=max_ns):

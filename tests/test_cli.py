@@ -1,10 +1,23 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+import pathlib
 import re
+import shlex
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def assert_usage_error(capsys, argv, message="unrecognized arguments"):
+    """The parser refuses ``argv``: exit 2 with ``message`` on stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 class TestCli:
@@ -270,14 +283,12 @@ class TestFleetCli:
         assert "(1 cached:" in capsys.readouterr().out
 
     def test_jobs_refused_outside_matrix(self, capsys):
-        assert main(["scenario", "run", "be-uniform-4x4", "--smoke",
-                     "--jobs", "2"]) == 2
-        assert "only applies to 'matrix'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["scenario", "run", "be-uniform-4x4",
+                                    "--smoke", "--jobs", "2"])
 
     def test_cache_dir_refused_outside_matrix(self, tmp_path, capsys):
-        assert main(["scenario", "list",
-                     "--cache-dir", str(tmp_path)]) == 2
-        assert "only applies to 'matrix'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["scenario", "list",
+                                    "--cache-dir", str(tmp_path)])
 
     def test_nonpositive_jobs_refused(self, capsys):
         assert main(["scenario", "matrix", "--smoke", "--jobs", "0"]) == 2
@@ -335,8 +346,7 @@ class TestBenchCli:
                      "--current", str(slow), "--tolerance", "0.999"]) == 0
 
     def test_compare_needs_against(self, capsys):
-        assert main(["bench", "compare"]) == 2
-        assert "--against" in capsys.readouterr().err
+        assert_usage_error(capsys, ["bench", "compare"], "--against")
 
     def test_compare_rejects_bad_baseline(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -354,15 +364,16 @@ class TestBenchCli:
         assert "--tolerance" in capsys.readouterr().err
 
     def test_record_refuses_compare_flags(self, tmp_path, capsys):
-        assert main(["bench", "record", "--against", "x.json"]) == 2
-        assert "only applies to 'compare'" in capsys.readouterr().err
-        assert main(["bench", "record", "--tolerance", "0.5"]) == 2
-        assert main(["bench", "record", "--current", "x.json"]) == 2
+        assert_usage_error(capsys, ["bench", "record", "--against",
+                                    "x.json"])
+        assert_usage_error(capsys, ["bench", "record", "--tolerance",
+                                    "0.5"])
+        assert_usage_error(capsys, ["bench", "record", "--current",
+                                    "x.json"])
 
     def test_compare_refuses_out(self, tmp_path, capsys):
-        assert main(["bench", "compare", "--against", "x.json",
-                     "--out", str(tmp_path)]) == 2
-        assert "only applies to 'record'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["bench", "compare", "--against",
+                                    "x.json", "--out", str(tmp_path)])
 
     def test_record_unknown_names_fail_cleanly(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -451,9 +462,9 @@ class TestAllocCli:
     def test_name_and_demands_conflict_refused(self, tmp_path, capsys):
         path = tmp_path / "set.json"
         path.write_text("{}")
-        assert main(["alloc", "report", "column-saturated-8x8",
-                     "--demands", str(path)]) == 2
-        assert "not both" in capsys.readouterr().err
+        assert_usage_error(capsys, ["alloc", "report",
+                                    "column-saturated-8x8",
+                                    "--demands", str(path)], "not both")
 
     def test_demand_set_out_without_name_refused(self, tmp_path, capsys):
         """--out must never silently write an unnamed default set."""
@@ -493,14 +504,13 @@ class TestAllocCli:
 
 class TestAllocFlagScoping:
     def test_report_refuses_out(self, capsys):
-        assert main(["alloc", "report", "greedy-trap-3x3",
-                     "--out", "nope.json"]) == 2
-        assert "only applies to 'demand-set'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["alloc", "report", "greedy-trap-3x3",
+                                    "--out", "nope.json"])
 
     def test_demand_set_refuses_require_improvement(self, capsys):
-        assert main(["alloc", "demand-set", "greedy-trap-3x3",
-                     "--require-improvement"]) == 2
-        assert "only applies to 'report'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["alloc", "demand-set",
+                                    "greedy-trap-3x3",
+                                    "--require-improvement"])
 
     def test_demands_file_errors_fail_cleanly(self, tmp_path, capsys):
         """Missing, non-JSON and JSON-but-not-a-demand-set files all
@@ -519,9 +529,9 @@ class TestAllocFlagScoping:
             assert "cannot load demand set" in capsys.readouterr().err
 
     def test_demand_set_refuses_allocator(self, capsys):
-        assert main(["alloc", "demand-set", "greedy-trap-3x3",
-                     "--allocator", "ripup"]) == 2
-        assert "only applies to 'report'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["alloc", "demand-set",
+                                    "greedy-trap-3x3",
+                                    "--allocator", "ripup"])
 
 
 class TestTopologyCli:
@@ -631,8 +641,8 @@ class TestSynthCli:
             capsys.readouterr().out
 
     def test_unknown_demand_set_exits_two(self, capsys):
-        assert main(["synth", "run", "--demand-set", "nope"]) == 2
-        assert "unknown" in capsys.readouterr().err.lower()
+        assert_usage_error(capsys, ["synth", "run", "--demand-set", "nope"],
+                           "unknown demand set")
 
     def test_unknown_family_exits_two(self, capsys):
         assert main(["synth", "run", "--families", "torus"]) == 2
@@ -641,13 +651,11 @@ class TestSynthCli:
 
 class TestSynthFlagScoping:
     def test_points_refused_for_run(self, capsys):
-        assert main(["synth", "run", "--points", "3"]) == 2
-        assert "--points only applies" in capsys.readouterr().err
+        assert_usage_error(capsys, ["synth", "run", "--points", "3"])
 
     def test_payoff_gate_refused_for_frontier(self, capsys):
-        assert main(["synth", "frontier",
-                     "--require-cheaper-than-xy"]) == 2
-        assert "only applies to 'run'" in capsys.readouterr().err
+        assert_usage_error(capsys, ["synth", "frontier",
+                                    "--require-cheaper-than-xy"])
 
     def test_payoff_gate_refused_under_xy(self, capsys):
         assert main(["synth", "run", "--allocator", "xy",
@@ -655,9 +663,9 @@ class TestSynthFlagScoping:
         assert "compares against xy" in capsys.readouterr().err
 
     def test_named_set_and_file_are_mutually_exclusive(self, capsys):
-        assert main(["synth", "run", "--demand-set", "greedy-trap-3x3",
-                     "--demands", "x.json"]) == 2
-        assert "not both" in capsys.readouterr().err
+        assert_usage_error(capsys, ["synth", "run", "--demand-set",
+                                    "greedy-trap-3x3", "--demands",
+                                    "x.json"], "not both")
 
     def test_nonpositive_budget_exits_two(self, capsys):
         assert main(["synth", "run", "--budget", "0"]) == 2
@@ -673,8 +681,7 @@ class TestObservabilityCli:
         assert "Top metrics counters" in out
 
     def test_scenario_metrics_refused_for_list(self, capsys):
-        assert main(["scenario", "list", "--metrics"]) == 2
-        assert "--metrics" in capsys.readouterr().err
+        assert_usage_error(capsys, ["scenario", "list", "--metrics"])
 
     def test_sample_ns_needs_metrics(self, capsys):
         assert main(["scenario", "run", "be-uniform-4x4", "--smoke",
@@ -753,12 +760,11 @@ class TestObservabilityCli:
 
 class TestBenchReportCli:
     def test_report_needs_files(self, capsys):
-        assert main(["bench", "report"]) == 2
-        assert "BENCH_*.json" in capsys.readouterr().err
+        assert_usage_error(capsys, ["bench", "report"], "BENCH_*.json")
 
     def test_record_refuses_positional_files(self, capsys):
-        assert main(["bench", "record", "x.json"]) == 2
-        assert "report" in capsys.readouterr().err
+        assert_usage_error(capsys, ["bench", "record", "x.json"],
+                           "unrecognized arguments: x.json")
 
     def test_report_round_trip(self, tmp_path, capsys):
         assert main(["bench", "record", "--smoke",
@@ -772,3 +778,116 @@ class TestBenchReportCli:
         text = out_md.read_text()
         assert text.startswith("# Bench trajectory")
         assert "be-uniform-4x4" in text
+
+
+def _subparsers(parser):
+    """``{name: parser}`` of a parser's commands or actions."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _flags(parser):
+    return {flag for action in parser._actions
+            for flag in action.option_strings}
+
+
+def _required_argv(parser):
+    """Placeholder values for every argument ``parser`` requires."""
+    argv = []
+    for action in parser._actions:
+        if action.required:
+            argv += [*action.option_strings[:1], "x"]
+    return argv
+
+
+def _sibling_only_flags():
+    """``(command, action, flag)`` for every flag that a sibling action
+    of the same command declares and the action itself does not."""
+    cases = set()
+    for command, command_parser in _subparsers(build_parser()).items():
+        actions = _subparsers(command_parser)
+        for name, parser in actions.items():
+            for sibling in actions.values():
+                cases.update((command, name, flag)
+                             for flag in _flags(sibling) - _flags(parser))
+    return sorted(cases)
+
+
+def _documented_command_lines():
+    """Every ``python -m repro`` argv in the fenced code blocks of
+    README.md and docs/*.md and in the CI workflow, with continuations
+    joined, ``#`` comments stripped and ``$`` expansions replaced by a
+    placeholder; shell operators end the argv."""
+    texts = []
+    for path in [REPO_ROOT / "README.md",
+                 *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        texts += re.findall(r"```.*?```", path.read_text(), re.DOTALL)
+    texts.append((REPO_ROOT / ".github" / "workflows" / "ci.yml")
+                 .read_text())
+    lines = set()
+    for text in texts:
+        for line in re.sub(r"\\\n\s*", " ", text).splitlines():
+            if "-m repro" not in line:
+                continue
+            tokens = shlex.split(line, comments=True)
+            argv = tokens[tokens.index("repro") + 1:]
+            for end, token in enumerate(argv):
+                if token in ("|", "||", "&&", ";") or token[0] in "<>":
+                    argv = argv[:end]
+                    break
+            lines.add(tuple("x" if "$" in token else token
+                            for token in argv))
+    return sorted(lines)
+
+
+SIBLING_ONLY_FLAGS = _sibling_only_flags()
+DOCUMENTED_COMMAND_LINES = _documented_command_lines()
+
+
+class TestActionFlagScoping:
+    """Each action declares only its own flags, so the parser refuses a
+    flag given to the wrong action (exit 2) instead of ignoring it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "run", "be-uniform-4x4", "--smoke", "--update-golden"],
+        ["scenario", "run", "be-uniform-4x4", "--smoke", "--names", "x"],
+        ["scenario", "list", "--smoke", "--backend", "tdm"],
+    ], ids=" ".join)
+    def test_flag_of_another_action_refused(self, capsys, argv):
+        assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("command,action,flag", SIBLING_ONLY_FLAGS,
+                             ids="-".join)
+    def test_sibling_only_flag_refused(self, capsys, command, action, flag):
+        parser = _subparsers(_subparsers(build_parser())[command])[action]
+        assert_usage_error(capsys, [command, action,
+                                    *_required_argv(parser), flag])
+
+    def test_sibling_flags_cover_every_multi_action_command(self):
+        commands = {command for command, _action, _flag
+                    in SIBLING_ONLY_FLAGS}
+        assert commands == {"scenario", "bench", "trace", "alloc", "synth"}
+        assert ("scenario", "run", "--update-golden") in SIBLING_ONLY_FLAGS
+        assert ("scenario", "list", "--backend") in SIBLING_ONLY_FLAGS
+
+
+class TestDocumentedCommandLines:
+    """Every documented and CI command line still parses (parse only:
+    no handler runs), so a grammar change that would break a CI step
+    or a docs example fails here first."""
+
+    @pytest.mark.parametrize("argv", DOCUMENTED_COMMAND_LINES, ids=" ".join)
+    def test_parses(self, argv):
+        args = build_parser().parse_args(list(argv))
+        assert callable(args.handler)
+
+    def test_ci_steps_are_covered(self):
+        covered = {argv[:2] for argv in DOCUMENTED_COMMAND_LINES}
+        assert {("alloc", "report"), ("synth", "run"),
+                ("synth", "frontier"), ("trace", "run"),
+                ("trace", "validate"), ("bench", "record"),
+                ("bench", "compare"), ("scenario", "matrix"),
+                ("scenario", "run")} <= covered
+        assert any(argv[0] == "profile" for argv in DOCUMENTED_COMMAND_LINES)
